@@ -6,9 +6,8 @@ from .circuit import (Circuit, CircuitParseError, Gate,
                       serialize_circuit)
 from .evaluator import (AmplitudeReport, amplitude, amplitude_table,
                         balance_weight, probability, weil_sum)
-from .fields import (ExactScalar, FieldElement, OddPrime, exact_mul,
-                     exact_to_complex, field_inverse, inverse_mod, legendre,
-                     parse_exact_scalar)
+from .fields import (ExactScalar, FieldElement, OddPrime, inverse_mod,
+                     legendre, parse_exact_scalar)
 from .oracle import (CapExceeded, brute_force_path_sum, dense_amplitude,
                      dense_state)
 from .pathsum import (AffineForm, LabeledCircuit, QuadraticForm,
@@ -25,9 +24,9 @@ __all__ = [
     "FieldElement", "Gate", "LabeledCircuit", "OddPrime", "QuadraticForm",
     "amplitude", "amplitude_table", "balance_weight", "brute_force_path_sum",
     "classify_fourier_gates", "dense_amplitude", "dense_state", "diagonalize",
-    "diagonalize_reference", "exact_mul", "exact_to_complex",
-    "extract_phase_polynomial", "field_inverse", "gf_rank", "inverse_mod",
-    "label_circuit", "legendre", "make_circuit", "normalize_to_standard_form",
-    "parse_circuit", "parse_exact_scalar", "phase_polynomial_direct",
-    "probability", "serialize_circuit", "split_step", "weil_sum",
+    "diagonalize_reference", "extract_phase_polynomial", "gf_rank",
+    "inverse_mod", "label_circuit", "legendre", "make_circuit",
+    "normalize_to_standard_form", "parse_circuit", "parse_exact_scalar",
+    "phase_polynomial_direct", "probability", "serialize_circuit",
+    "split_step", "weil_sum",
 ]

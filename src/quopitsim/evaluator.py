@@ -13,6 +13,12 @@ Z = {lambda_i = 0, mu_i != 0}:
 where r = |X| is the rank of Theta, eps = 0 for p = 1 mod 4 and 1 otherwise,
 and (./p) is the Legendre symbol. Everything here is exact integer
 arithmetic; floats only appear when a caller asks for complex values.
+
+Only mu and zeta depend on the transition, and both are affine in (a, b).
+`_closed_form` therefore evaluates the formula for a whole matrix of mu
+columns at once: a single amplitude is one column, and an outcome table
+hands `diagonalize` the right-hand sides [eta(b = 0) | d eta / d b_i] and
+expands them to every outcome b without forming L.
 """
 from __future__ import annotations
 
@@ -22,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .circuit import Circuit, normalize_to_standard_form
-from .fields import ExactScalar, inverse_mod, legendre
+from .fields import ExactScalar, OddPrime, inverse_mod, legendre
 from .oracle import CapExceeded
 from .pathsum import phase_polynomial_direct
 from .quadform import diagonalize
@@ -68,29 +74,41 @@ class AmplitudeReport:
     weight: float
 
 
-def _assemble(p: int, n: int, alpha: int, lam: np.ndarray, mu: np.ndarray,
-              zeta: int) -> AmplitudeReport:
+def _closed_form(p: int, lam: np.ndarray, mu: np.ndarray, zeta: np.ndarray):
+    """The Gauss-sum product for each column of mu (alpha x m) with constant
+    term zeta (m,): returns the rank r, the quarter turns q shared by every
+    column, and per column |Z| and the chi-phase. Each product is reduced
+    mod p before it is summed, so int64 stays exact for every p whose
+    diagonalization is exact."""
     nz = lam != 0
     r = int(np.count_nonzero(nz))
-    z_size = int(np.count_nonzero(mu[~nz] % p))
-    weight = float(p) ** (0.5 * (alpha - n - r))
-    if z_size:
-        return AmplitudeReport(ExactScalar.zero(p), Fraction(0), r, alpha,
-                               z_size, weight)
+    z_size = np.count_nonzero(mu[~nz], axis=0)
+    lam_inv = np.array([inverse_mod(int(v), p) for v in lam[nz]],
+                       dtype=np.int64)
+    mu_x = mu[nz]
+    # in place: for a table, mu and its copies are alpha x p^n
+    terms = lam_inv[:, None] * mu_x
+    terms %= p
+    terms *= mu_x
+    terms %= p
+    phase = (zeta - inverse_mod(4, p) * (terms.sum(axis=0) % p)) % p
     prod = 1
-    s = 0
-    inv4 = inverse_mod(4, p)
-    for lv, mv in zip(lam[nz], mu[nz]):
-        lv = int(lv)
-        mv = int(mv)
-        prod = (prod * lv) % p
-        s += inverse_mod(lv, p) * mv * mv
+    for v in lam[nz].tolist():
+        prod = (prod * v) % p
     q = r * phase_unit_exponent(p) + (2 if r and legendre(prod, p) == -1 else 0)
-    amp = ExactScalar(p, sqrtp_exponent=alpha - n - r, quarter_turns=q,
-                      p_phase=zeta - inv4 * s)
-    e = n + r - alpha
-    prob = Fraction(1, p ** e) if e >= 0 else Fraction(p ** -e)
-    return AmplitudeReport(amp, prob, r, alpha, z_size, weight)
+    return r, q, z_size, phase
+
+
+def _reports(p: OddPrime, n: int, alpha: int, r: int, q: int,
+             z_size: np.ndarray, phase: np.ndarray) -> list[AmplitudeReport]:
+    k = alpha - n - r
+    weight = float(p) ** (0.5 * k)
+    prob = Fraction(int(p)) ** k
+    zero = ExactScalar.zero(p)
+    return [AmplitudeReport(zero, Fraction(0), r, alpha, z, weight) if z
+            else AmplitudeReport(ExactScalar(p, k, q, c), prob, r, alpha, 0,
+                                 weight)
+            for z, c in zip(z_size.tolist(), phase.tolist())]
 
 
 def amplitude(c: Circuit, a, b) -> AmplitudeReport:
@@ -99,8 +117,10 @@ def amplitude(c: Circuit, a, b) -> AmplitudeReport:
     cn = normalize_to_standard_form(c)
     p = int(cn.modulus)
     q = phase_polynomial_direct(cn, a, b)
+    alpha = len(q.eta)
     res = diagonalize(q.theta, p, eta=q.eta, assume_canonical=True)
-    return _assemble(p, cn.n, len(q.eta), res.diagonal, res.mu, q.zeta)
+    form = _closed_form(p, res.diagonal, res.mu[:, None], np.array([q.zeta]))
+    return _reports(cn.modulus, cn.n, alpha, *form)[0]
 
 
 def probability(c: Circuit, a, b) -> Fraction:
@@ -116,82 +136,48 @@ def balance_weight(c: Circuit) -> AmplitudeReport:
     return amplitude(c, zeros, zeros)
 
 
-def _table_core(cn: Circuit, a):
+def _table_core(c: Circuit, a, cap: int):
     """Shared machinery for whole-outcome-row evaluation: one extraction per
     basis outcome recovers how (eta, zeta) depend on b, one diagonalization
-    then covers all p^n outcomes."""
+    with those n + 1 right-hand sides then covers all p^n outcomes.
+    Returns (modulus, n, alpha, r, q, z_size, phase) in lexicographic
+    outcome order; refuses rows longer than `cap`."""
+    cn = normalize_to_standard_form(c)
     p = int(cn.modulus)
     n = cn.n
+    if p ** n > cap:
+        raise CapExceeded(f"table has {p}^{n} = {p ** n} rows, cap is {cap}")
     q0 = phase_polynomial_direct(cn, a, (0,) * n)
     alpha = len(q0.eta)
-    E = np.zeros((alpha, n), dtype=np.int64)
+    rhs = np.zeros((alpha, n + 1), dtype=np.int64)
+    rhs[:, 0] = q0.eta
     w = np.zeros(n, dtype=np.int64)
     for i in range(n):
         probe = [0] * n
         probe[i] = 1
         qi = phase_polynomial_direct(cn, a, probe)
-        E[:, i] = (qi.eta - q0.eta) % p
+        rhs[:, i + 1] = (qi.eta - q0.eta) % p
         w[i] = (qi.zeta - q0.zeta) % p
-    res = diagonalize(q0.theta, p, want_l=True, assume_canonical=True)
-    lam = res.diagonal
-    mu0 = (res.L.T @ q0.eta) % p
-    MuE = (res.L.T @ E) % p
-
-    B = np.indices((p,) * n).reshape(n, -1).T if n else np.zeros((1, 0),
-                                                                 dtype=np.int64)
-    Mu = (mu0[None, :] + B @ MuE.T) % p
-    zv = (q0.zeta + B @ w) % p
-
-    nz = lam != 0
-    r = int(np.count_nonzero(nz))
-    z_counts = np.count_nonzero(Mu[:, ~nz], axis=1)
-    lam_inv = np.array([inverse_mod(int(v), p) for v in lam[nz]],
-                       dtype=np.int64)
-    inv4 = inverse_mod(4, p)
-    phase = (zv - inv4 * (Mu[:, nz] ** 2 @ lam_inv)) % p
-    prod = 1
-    for v in lam[nz]:
-        prod = (prod * int(v)) % p
-    q = r * phase_unit_exponent(p) + (2 if r and legendre(prod, p) == -1 else 0)
-    return p, n, alpha, r, q, z_counts, phase
+    res = diagonalize(q0.theta, p, eta=rhs, assume_canonical=True)
+    B = np.indices((p,) * n).reshape(n, -1)
+    mu = res.mu[:, 1:] @ B
+    mu += res.mu[:, :1]
+    mu %= p
+    zeta = (q0.zeta + w @ B) % p
+    return (cn.modulus, n, alpha,
+            *_closed_form(p, res.diagonal, mu, zeta))
 
 
 def amplitude_table(c: Circuit, a, cap: int = TABLE_CAP) -> list[AmplitudeReport]:
     """AmplitudeReport for every outcome b, in lexicographic order of the
     outcome tuples. Refuses tables larger than `cap` rows."""
-    cn = normalize_to_standard_form(c)
-    p = int(cn.modulus)
-    if p ** cn.n > cap:
-        raise CapExceeded(
-            f"table has {p}^{cn.n} = {p ** cn.n} rows, cap is {cap}")
-    p, n, alpha, r, q, z_counts, phase = _table_core(cn, a)
-    k = alpha - n - r
-    weight = float(p) ** (0.5 * k)
-    e = n + r - alpha
-    prob = Fraction(1, p ** e) if e >= 0 else Fraction(p ** -e)
-    zero = ExactScalar.zero(p)
-    reports = []
-    for count, ph in zip(z_counts, phase):
-        if count:
-            reports.append(AmplitudeReport(zero, Fraction(0), r, alpha,
-                                           int(count), weight))
-        else:
-            reports.append(AmplitudeReport(
-                ExactScalar(p, sqrtp_exponent=k, quarter_turns=q,
-                            p_phase=int(ph)),
-                prob, r, alpha, 0, weight))
-    return reports
+    return _reports(*_table_core(c, a, cap))
 
 
 def _amplitude_row(c: Circuit, a, cap: int = TABLE_CAP) -> np.ndarray:
     """All p^n amplitudes for input a as a complex vector, same outcome order
     as amplitude_table. Used where per-report objects would be too slow."""
-    cn = normalize_to_standard_form(c)
-    p = int(cn.modulus)
-    if p ** cn.n > cap:
-        raise CapExceeded(
-            f"row has {p}^{cn.n} = {p ** cn.n} entries, cap is {cap}")
-    p, n, alpha, r, q, z_counts, phase = _table_core(cn, a)
+    p, n, alpha, r, q, z_size, phase = _table_core(c, a, cap)
     mag = float(p) ** (0.5 * (alpha - n - r))
     vals = mag * (1j ** q) * np.exp(2j * np.pi * phase / p)
-    return np.where(z_counts > 0, 0, vals)
+    return np.where(z_size > 0, 0, vals)

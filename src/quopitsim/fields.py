@@ -104,11 +104,6 @@ class FieldElement:
         return f"FieldElement({self.residue}, mod {self.modulus})"
 
 
-def field_inverse(x: FieldElement) -> FieldElement:
-    """Inverse in F_p; raises ZeroDivisionError at x = 0."""
-    return x.inverse()
-
-
 def legendre(x, p: int | None = None) -> int:
     """Legendre symbol: 0 at zero, +1 for nonzero squares, -1 otherwise.
 
@@ -215,14 +210,6 @@ class ExactScalar:
 
     def __repr__(self):
         return f"ExactScalar({self.render()})"
-
-
-def exact_mul(s1: ExactScalar, s2: ExactScalar) -> ExactScalar:
-    return s1 * s2
-
-
-def exact_to_complex(s: ExactScalar) -> complex:
-    return s.to_complex()
 
 
 _SCALAR_RE = re.compile(

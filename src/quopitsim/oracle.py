@@ -72,7 +72,10 @@ def dense_state(c: Circuit, a) -> np.ndarray:
     state[tuple(v % p for v in a)] = 1.0
     for gate in c.gates:
         state = _apply_gate(state, gate, p)
-        assert abs(np.linalg.norm(state) - 1.0) < 1e-10
+        norm = np.linalg.norm(state)
+        if not abs(norm - 1.0) < 1e-10:
+            raise RuntimeError(
+                f"{gate.kind} gate left the state with norm {norm}, not 1")
     return state
 
 

@@ -16,6 +16,12 @@ Pivot rule, in both: use the first nonzero diagonal entry (lowest index); if
 the diagonal is all zero but A is not, take the row-major first nonzero
 off-diagonal entry A[I,J] and fold coordinate J into I (x_I' = x_I + x_J),
 which puts 2*A[I,J] on the diagonal.
+
+`diagonalize` never forms L while it eliminates. It applies each column
+operation to a matrix of right-hand sides instead, so it returns
+mu = L^T eta for every column of eta at once; L itself, when asked for, is
+read off the identity carried as extra right-hand-side columns,
+L = (L^T I)^T.
 """
 from __future__ import annotations
 
@@ -82,8 +88,9 @@ def split_step(A, p: int) -> tuple[np.ndarray, int, np.ndarray]:
 class DiagonalizationResult:
     """L^T A L = diag(diagonal); rank counts the nonzero diagonal entries.
 
-    L is None when the caller skipped it; mu = L^T eta is carried through the
-    elimination when eta is supplied, so callers rarely need L itself.
+    mu = L^T eta has eta's shape, (alpha,) or (alpha, m), and is None when
+    no eta was supplied. L is None unless it was asked for; callers that
+    only need L^T applied to known vectors pass them as eta instead.
     """
 
     L: np.ndarray | None
@@ -123,7 +130,9 @@ def diagonalize_reference(theta, p: int) -> DiagonalizationResult:
 
 def _pick_dtype(alpha: int, p: int, panel: int):
     # Lazy mod keeps trailing entries below p + (alpha + panel) * (p - 1)^2;
-    # float32 is exact under 2^24, otherwise fall back to float64.
+    # float32 is exact under 2^24, otherwise fall back to float64. A
+    # right-hand-side entry stays under the same bound: it loses less than
+    # (p - 1)^2 per pivot and a fold restarts it below 2p.
     bound = p + (alpha + panel) * (p - 1) ** 2
     return np.float32 if bound < 2 ** 24 else np.float64
 
@@ -141,6 +150,11 @@ def diagonalize(theta, p: int, want_l: bool = False, eta=None,
     values. Arithmetic stays exact: entries are integers carried in floats
     small enough to be exact, reduced mod p only when read.
 
+    eta, of shape (alpha,) or (alpha, m), is a set of right-hand sides: row i
+    belongs to coordinate i and follows every column operation on Theta, so
+    the result's mu = L^T eta keeps eta's shape. want_l appends the identity
+    as alpha more right-hand-side columns and returns L = (L^T I)^T.
+
     assume_canonical certifies that theta is already symmetric with entries
     in [0, p), skipping one validation pass over the matrix; the extraction
     code guarantees this shape by construction.
@@ -156,11 +170,13 @@ def diagonalize(theta, p: int, want_l: bool = False, eta=None,
     else:
         M = _as_symmetric(theta, p)
     alpha = M.shape[0]
-    if eta is not None and np.shape(eta) != (alpha,):
-        raise ValueError(f"eta must have length {alpha}")
+    eta_shape = None if eta is None else np.shape(eta)
+    if eta is not None and (len(eta_shape) not in (1, 2)
+                            or eta_shape[0] != alpha):
+        raise ValueError(f"eta must have {alpha} rows, got shape {eta_shape}")
     if alpha == 0:
         L = np.eye(0, dtype=np.int64) if want_l else None
-        mu = None if eta is None else np.zeros(0, dtype=np.int64)
+        mu = None if eta is None else np.zeros(eta_shape, dtype=np.int64)
         return DiagonalizationResult(L, np.zeros(0, dtype=np.int64), 0, mu)
 
     dtype = _pick_dtype(alpha, p, panel)
@@ -176,9 +192,13 @@ def diagonalize(theta, p: int, want_l: bool = False, eta=None,
     # panel buffers, one row per pending pivot: Vp[j] = wv_j, Wp[j] = row_j
     Vp = np.zeros((panel, alpha), dtype=dtype)
     Wp = np.zeros((panel, alpha), dtype=dtype)
-    T = np.eye(alpha, dtype=np.int64) if want_l else None
-    mu = None if eta is None else (np.asarray(eta, dtype=np.int64)
-                                   % p).astype(dtype)
+    # right-hand sides: eta's m columns, then the identity when L is wanted
+    m = 0 if eta is None else (eta_shape[1] if len(eta_shape) == 2 else 1)
+    rhs = np.zeros((alpha, m + (alpha if want_l else 0)), dtype=dtype)
+    if eta is not None:
+        rhs[:, :m] = (np.asarray(eta, dtype=np.int64) % p).reshape(alpha, m)
+    if want_l:
+        np.fill_diagonal(rhs[:, m:], 1)
 
     t = 0
     j = 0  # pending panel rows
@@ -193,22 +213,22 @@ def diagonalize(theta, p: int, want_l: bool = False, eta=None,
 
     def rotate_to_front(q: int):
         # cycle coordinates t..q one step so q lands at t; support inside
-        # the rotated range can land anywhere up to q, hence the ext clamp
+        # the rotated range can land anywhere up to q, hence the ext clamp.
+        # Rows and columns before t are finished, and those of t..q are
+        # zero from max(hi, ext) on, so only [t, end) is moved.
         if q == t:
             return
         perm = np.concatenate(([q], np.arange(t, q)))
-        A[t:q + 1, t:] = A[perm, t:]
-        A[:, t:q + 1] = A[:, perm]
+        end = max(hi, q + 1, int(ext[t:q + 1].max()))
+        A[t:q + 1, t:end] = A[perm, t:end]
+        A[t:end, t:q + 1] = A[t:end, perm]
         d[t:q + 1] = d[perm]
         ext[t:q + 1] = ext[perm]
         np.maximum(ext[t:q + 1], q + 1, out=ext[t:q + 1])
         if j:
             Vp[:j, t:q + 1] = Vp[:j, perm]
             Wp[:j, t:q + 1] = Wp[:j, perm]
-        if T is not None:
-            T[:, t:q + 1] = T[:, perm]
-        if mu is not None:
-            mu[t:q + 1] = mu[perm]
+        rhs[t:q + 1] = rhs[perm]
 
     while t < alpha:
         hits = np.flatnonzero(np.mod(d[t:t + 64], p))
@@ -233,10 +253,7 @@ def diagonalize(theta, p: int, want_l: bool = False, eta=None,
             A[I, t:] += A[J, t:]
             d[t:] = trailing.diagonal()
             ext[I] = max(int(ext[I]), int(ext[J]), hi)
-            if T is not None:
-                T[:, I] = (T[:, I] + T[:, J]) % p
-            if mu is not None:
-                mu[I] += mu[J]
+            rhs[I] = rhs[I] % p + rhs[J] % p
             rotate_to_front(I)
 
         hi = max(hi, t + 1, int(ext[t]))
@@ -256,20 +273,18 @@ def diagonalize(theta, p: int, want_l: bool = False, eta=None,
         Wp[j, t] = 0
         Vp[j, hi:] = 0
         Wp[j, hi:] = 0
-        if T is not None:
-            T[:, t + 1:hi] = (T[:, t + 1:hi]
-                              - np.outer(T[:, t],
-                                         wv.astype(np.int64))) % p
-        if mu is not None:
-            mu[t + 1:hi] -= wv * (mu[t] % p)
+        rhs[t + 1:hi] -= wv[:, None] * (rhs[t] % p)
         t += 1
         j += 1
         if j == panel:
             flush()
 
     rank = int(np.count_nonzero(lam))
-    mu_out = None if mu is None else np.mod(mu, p).astype(np.int64)
-    return DiagonalizationResult(T, lam, rank, mu_out)
+    np.mod(rhs, p, out=rhs)
+    rhs = rhs.astype(np.int64)
+    L = rhs[:, m:].T if want_l else None
+    mu = None if eta is None else rhs[:, :m].reshape(eta_shape)
+    return DiagonalizationResult(L, lam, rank, mu)
 
 
 def gf_rank(A, p: int) -> int:

@@ -11,7 +11,8 @@ import pytest
 
 from conftest import random_circuit
 from quopitsim import (CapExceeded, Gate, amplitude, amplitude_table,
-                       balance_weight, dense_amplitude, make_circuit,
+                       balance_weight, dense_amplitude, diagonalize,
+                       extract_phase_polynomial, label_circuit, make_circuit,
                        normalize_to_standard_form, probability, weil_sum)
 from quopitsim.evaluator import _amplitude_row, phase_unit_exponent
 from quopitsim.fields import ExactScalar
@@ -131,6 +132,33 @@ def test_table_probabilities_sum_to_one():
         assert total == 1
         nonzero = {rep.probability for rep in table if rep.probability}
         assert len(nonzero) == 1  # balanced: one shared value
+
+
+def reference_amplitude(c, a, b) -> ExactScalar:
+    """<b|U|a> without the closed-form assembly: the reference extractor,
+    a diagonalization in reversed coordinate order, and a product of
+    one-variable Weil sums."""
+    p, n = int(c.modulus), c.n
+    q = extract_phase_polynomial(label_circuit(c, a, b))
+    rev = np.arange(len(q.eta))[::-1]
+    res = diagonalize(q.theta[np.ix_(rev, rev)], p, eta=q.eta[rev])
+    value = ExactScalar(p, sqrtp_exponent=-(n + len(q.eta)), p_phase=q.zeta)
+    for lam, mu in zip(res.diagonal.tolist(), res.mu.tolist()):
+        value = value * weil_sum(lam, mu, p)
+    return value
+
+
+@pytest.mark.parametrize("p", [65537, 99991])
+def test_table_exact_at_large_modulus(p):
+    # lambda^(-1) * mu^2 summed over X passes 2^63 at these moduli unless
+    # every product is reduced mod p first
+    c = make_circuit(p, 1, [Gate.fourier(0), Gate.phase(0)] * 3
+                     + [Gate.fourier(0)])
+    table = amplitude_table(c, (1,))
+    assert len(table) == p
+    rows = np.random.default_rng(p).choice(p, size=200, replace=False)
+    for b in rows.tolist():
+        assert table[b].amplitude == reference_amplitude(c, (1,), (b,)), b
 
 
 def test_amplitude_row_agrees_with_reports():

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import quopitsim.oracle
 from quopitsim import (CapExceeded, Gate, brute_force_path_sum,
                        dense_amplitude, dense_state, inverse_mod,
                        make_circuit)
@@ -78,6 +79,15 @@ def test_dense_norm_is_preserved():
     c = make_circuit(5, 2, gates)
     psi = dense_state(c, (2, 3))
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
+
+
+def test_dense_norm_violation_raises(monkeypatch):
+    # an explicit error, not an assert, so the check survives python -O
+    monkeypatch.setattr(quopitsim.oracle, "fourier_matrix",
+                        lambda p: 2 * np.eye(p))
+    c = make_circuit(3, 1, [Gate.fourier(0)])
+    with pytest.raises(RuntimeError, match="norm"):
+        dense_state(c, (0,))
 
 
 def test_dense_cap():

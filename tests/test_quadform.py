@@ -96,6 +96,7 @@ def _assert_same(blocked: DiagonalizationResult,
 
 def test_blocked_matches_reference():
     rng = np.random.default_rng(23)
+    rhs_rng = np.random.default_rng(29)
     for _ in range(120):
         p = int(rng.choice(PRIMES))
         alpha = int(rng.integers(1, 12))
@@ -107,9 +108,11 @@ def test_blocked_matches_reference():
         else:
             A = random_symmetric(rng, alpha, p,
                                  max_rank=int(rng.integers(0, alpha + 1)))
-        eta = rng.integers(0, p, size=alpha)
-        blocked = diagonalize(A, p, want_l=True, eta=eta)
-        _assert_same(blocked, diagonalize_reference(A, p), eta, p)
+        ref = diagonalize_reference(A, p)
+        for eta in (rng.integers(0, p, size=alpha),
+                    rhs_rng.integers(0, p, size=(alpha, 3))):
+            blocked = diagonalize(A, p, want_l=True, eta=eta)
+            _assert_same(blocked, ref, eta, p)
 
 
 def test_blocked_small_panels():
@@ -168,6 +171,9 @@ def test_empty_and_single_coordinate():
                         eta=np.zeros(0, dtype=np.int64))
     assert empty.rank == 0 and empty.diagonal.shape == (0,)
     assert empty.L.shape == (0, 0) and empty.mu.shape == (0,)
+    columns = diagonalize(np.zeros((0, 0), dtype=np.int64), 5,
+                          eta=np.zeros((0, 3), dtype=np.int64))
+    assert columns.L is None and columns.mu.shape == (0, 3)
     one = diagonalize(np.array([[4]]), 5, want_l=True, eta=np.array([3]))
     assert one.diagonal.tolist() == [4]
     assert one.rank == 1
