@@ -16,9 +16,11 @@ arithmetic; floats only appear when a caller asks for complex values.
 
 Only mu and zeta depend on the transition, and both are affine in (a, b).
 `_closed_form` therefore evaluates the formula for a whole matrix of mu
-columns at once: a single amplitude is one column, and an outcome table
-hands `diagonalize` the right-hand sides [eta(b = 0) | d eta / d b_i] and
-expands them to every outcome b without forming L.
+columns at once: a single amplitude is one column. An outcome table runs
+one b-free extraction, whose final register rows are d eta / d b_i and
+d zeta / d b_i, hands `diagonalize` the right-hand sides
+[eta(b = 0) | d eta / d b_i], and expands them to every outcome b in
+fixed-size chunks, without forming L.
 """
 from __future__ import annotations
 
@@ -30,10 +32,12 @@ import numpy as np
 from .circuit import Circuit, normalize_to_standard_form
 from .fields import ExactScalar, OddPrime, inverse_mod, legendre
 from .oracle import CapExceeded
-from .pathsum import phase_polynomial_direct
+from .pathsum import _extract_b_free, phase_polynomial_direct
 from .quadform import diagonalize
 
 TABLE_CAP = 100_000
+# outcomes assembled at once; bounds a table's alpha x chunk working set
+TABLE_CHUNK = 4096
 
 
 def phase_unit_exponent(p: int) -> int:
@@ -86,7 +90,7 @@ def _closed_form(p: int, lam: np.ndarray, mu: np.ndarray, zeta: np.ndarray):
     lam_inv = np.array([inverse_mod(int(v), p) for v in lam[nz]],
                        dtype=np.int64)
     mu_x = mu[nz]
-    # in place: for a table, mu and its copies are alpha x p^n
+    # in place: for a table, mu and its copies are alpha x TABLE_CHUNK
     terms = lam_inv[:, None] * mu_x
     terms %= p
     terms *= mu_x
@@ -104,8 +108,8 @@ def _reports(p: OddPrime, n: int, alpha: int, r: int, q: int,
     k = alpha - n - r
     weight = float(p) ** (0.5 * k)
     prob = Fraction(int(p)) ** k
-    zero = ExactScalar.zero(p)
-    return [AmplitudeReport(zero, Fraction(0), r, alpha, z, weight) if z
+    zero, zero_prob = ExactScalar.zero(p), Fraction(0)
+    return [AmplitudeReport(zero, zero_prob, r, alpha, z, weight) if z
             else AmplitudeReport(ExactScalar(p, k, q, c), prob, r, alpha, 0,
                                  weight)
             for z, c in zip(z_size.tolist(), phase.tolist())]
@@ -136,48 +140,27 @@ def balance_weight(c: Circuit) -> AmplitudeReport:
     return amplitude(c, zeros, zeros)
 
 
-def _table_core(c: Circuit, a, cap: int):
-    """Shared machinery for whole-outcome-row evaluation: one extraction per
-    basis outcome recovers how (eta, zeta) depend on b, one diagonalization
-    with those n + 1 right-hand sides then covers all p^n outcomes.
-    Returns (modulus, n, alpha, r, q, z_size, phase) in lexicographic
-    outcome order; refuses rows longer than `cap`."""
+def amplitude_table(c: Circuit, a) -> list[AmplitudeReport]:
+    """AmplitudeReport for every outcome b, in lexicographic order of the
+    outcome tuples. Refuses tables longer than TABLE_CAP rows."""
     cn = normalize_to_standard_form(c)
     p = int(cn.modulus)
     n = cn.n
-    if p ** n > cap:
-        raise CapExceeded(f"table has {p}^{n} = {p ** n} rows, cap is {cap}")
-    q0 = phase_polynomial_direct(cn, a, (0,) * n)
+    total = p ** n
+    if total > TABLE_CAP:
+        raise CapExceeded(f"table has {p}^{n} = {total} rows, cap is {TABLE_CAP}")
+    q0, rows = _extract_b_free(cn, a)
     alpha = len(q0.eta)
-    rhs = np.zeros((alpha, n + 1), dtype=np.int64)
-    rhs[:, 0] = q0.eta
-    w = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        probe = [0] * n
-        probe[i] = 1
-        qi = phase_polynomial_direct(cn, a, probe)
-        rhs[:, i + 1] = (qi.eta - q0.eta) % p
-        w[i] = (qi.zeta - q0.zeta) % p
+    rhs = np.column_stack([q0.eta, rows[:, 1:].T])
     res = diagonalize(q0.theta, p, eta=rhs, assume_canonical=True)
-    B = np.indices((p,) * n).reshape(n, -1)
-    mu = res.mu[:, 1:] @ B
-    mu += res.mu[:, :1]
-    mu %= p
-    zeta = (q0.zeta + w @ B) % p
-    return (cn.modulus, n, alpha,
-            *_closed_form(p, res.diagonal, mu, zeta))
-
-
-def amplitude_table(c: Circuit, a, cap: int = TABLE_CAP) -> list[AmplitudeReport]:
-    """AmplitudeReport for every outcome b, in lexicographic order of the
-    outcome tuples. Refuses tables larger than `cap` rows."""
-    return _reports(*_table_core(c, a, cap))
-
-
-def _amplitude_row(c: Circuit, a, cap: int = TABLE_CAP) -> np.ndarray:
-    """All p^n amplitudes for input a as a complex vector, same outcome order
-    as amplitude_table. Used where per-report objects would be too slow."""
-    p, n, alpha, r, q, z_size, phase = _table_core(c, a, cap)
-    mag = float(p) ** (0.5 * (alpha - n - r))
-    vals = mag * (1j ** q) * np.exp(2j * np.pi * phase / p)
-    return np.where(z_size > 0, 0, vals)
+    reports = []
+    for start in range(0, total, TABLE_CHUNK):
+        stop = min(start + TABLE_CHUNK, total)
+        B = np.array(np.unravel_index(np.arange(start, stop), (p,) * n))
+        mu = res.mu[:, 1:] @ B
+        mu += res.mu[:, :1]
+        mu %= p
+        zeta = (q0.zeta + rows[:, 0] @ B) % p
+        reports += _reports(cn.modulus, n, alpha,
+                            *_closed_form(p, res.diagonal, mu, zeta))
+    return reports

@@ -8,7 +8,9 @@ order). The phase polynomial
          + sum over phase gates of 2^(-1)*in(R)*(in(R)-1)
 
 is quadratic, S(x) = x^T Theta x + eta^T x + zeta, with Theta symmetric and
-independent of the input/outcome tuples (a, b).
+independent of the input/outcome tuples (a, b). The outcome b_r only
+multiplies register r's final label, so eta and zeta are affine in b with
+the final register rows of one b-free streaming pass as coefficients.
 """
 from __future__ import annotations
 
@@ -116,12 +118,12 @@ class QuadraticForm:
                 and np.array_equal(self.eta, other.eta))
 
 
-def _check_tuples(c: Circuit, a, b) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    if len(a) != c.n or len(b) != c.n:
-        raise ValueError(
-            f"input/outcome tuples must have length {c.n}, got {len(a)}/{len(b)}")
+def _check_tuples(c: Circuit, *tuples) -> list[tuple[int, ...]]:
+    if any(len(t) != c.n for t in tuples):
+        got = "/".join(str(len(t)) for t in tuples)
+        raise ValueError(f"input/outcome tuples must have length {c.n}, got {got}")
     p = int(c.modulus)
-    return tuple(int(v) % p for v in a), tuple(int(v) % p for v in b)
+    return [tuple(int(v) % p for v in t) for t in tuples]
 
 
 def label_circuit(c: Circuit, a, b) -> LabeledCircuit:
@@ -194,17 +196,19 @@ def extract_phase_polynomial(lc: LabeledCircuit) -> QuadraticForm:
     return QuadraticForm(p, theta % p, eta % p, zeta % p)
 
 
-def phase_polynomial_direct(c: Circuit, a, b) -> QuadraticForm:
-    """Streaming equivalent of label_circuit + extract_phase_polynomial.
+def _extract_b_free(c: Circuit, a) -> tuple[QuadraticForm, np.ndarray]:
+    """One streaming pass over a standard-form circuit for input a: the
+    phase polynomial at outcome b = 0 and the final register rows
+    (n x (alpha + 1), constant followed by the alpha path-variable
+    coefficients).
 
-    Keeps one dense coefficient row per register (constant followed by the
-    alpha path-variable coefficients) and folds each gate's term into the
-    accumulators on the fly. Identical output to the reference pair; built
-    for large circuits where per-gate label objects would dominate.
+    The outcome only enters at the terminal Fourier gates, where b_r
+    multiplies register r's final label, so those gates add nothing here:
+    d eta / d b_r = rows[r, 1:] and d zeta / d b_r = rows[r, 0].
     """
     if not c.standard_form:
         raise CircuitParseError("extraction needs a standard-form circuit")
-    a, b = _check_tuples(c, a, b)
+    (a,) = _check_tuples(c, a)
     p = int(c.modulus)
     inv2 = inverse_mod(2, p)
     roles, alpha = classify_fourier_gates(c)
@@ -224,27 +228,21 @@ def phase_polynomial_direct(c: Circuit, a, b) -> QuadraticForm:
             np.add(tgt, rows[gate.control, :width], out=tgt)
             tgt %= p
         elif kind == FOURIER:
-            r = gate.register
-            row = rows[r]
+            if roles[i] != NON_TERMINAL:
+                continue
+            row = rows[gate.register]
             active = row[1:width]
-            c0 = int(row[0])
             support = np.flatnonzero(active)
-            if roles[i] == NON_TERMINAL:
-                l = next_var
-                next_var += 1
-                if support.size:
-                    half = (inv2 * active[support]) % p
-                    theta[support, l] += half
-                    theta[l, support] += half
-                eta[l] += c0
-                row[:width] = 0
-                row[1 + l] = 1
-                width = 1 + next_var
-            else:
-                bv = b[r]
-                if bv and support.size:
-                    eta[support] += bv * active[support]
-                zeta += bv * c0
+            l = next_var
+            next_var += 1
+            if support.size:
+                half = (inv2 * active[support]) % p
+                theta[support, l] += half
+                theta[l, support] += half
+            eta[l] += row[0]
+            row[:width] = 0
+            row[1 + l] = 1
+            width = 1 + next_var
         else:  # phase gate
             row = rows[gate.register]
             active = row[1:width]
@@ -258,7 +256,24 @@ def phase_polynomial_direct(c: Circuit, a, b) -> QuadraticForm:
             zeta += inv2 * c0 * (c0 - 1)
     theta %= p
     eta %= p
-    return QuadraticForm(p, theta, eta, zeta % p)
+    return QuadraticForm(p, theta, eta, zeta % p), rows
+
+
+def phase_polynomial_direct(c: Circuit, a, b) -> QuadraticForm:
+    """Streaming equivalent of label_circuit + extract_phase_polynomial.
+
+    Keeps one dense coefficient row per register (constant followed by the
+    alpha path-variable coefficients) and folds each gate's term into the
+    accumulators on the fly; the outcome b is folded in once after the pass.
+    Identical output to the reference pair; built for large circuits where
+    per-gate label objects would dominate.
+    """
+    q0, rows = _extract_b_free(c, a)
+    _, b = _check_tuples(c, a, b)
+    p = q0.modulus
+    eta = (q0.eta + rows[:, 1:].T @ np.array(b, dtype=np.int64)) % p
+    zeta = q0.zeta + sum(bv * c0 for bv, c0 in zip(b, rows[:, 0].tolist()))
+    return QuadraticForm(p, q0.theta, eta, zeta % p)
 
 
 def render_phase_polynomial(q: QuadraticForm, namer=None) -> str:

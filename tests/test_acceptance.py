@@ -20,7 +20,6 @@ from quopitsim import (ExactScalar, Gate, amplitude, amplitude_table,
                        make_circuit, normalize_to_standard_form,
                        parse_circuit, phase_polynomial_direct, weil_sum)
 from quopitsim.circuit import FOURIER, PHASE
-from quopitsim.evaluator import _amplitude_row
 from quopitsim.oracle import chi_table
 
 ENUM_CAP = 1_000_000
@@ -277,7 +276,8 @@ def corpus_data():
         closed = np.empty((dim, dim), dtype=complex)
         dense = np.empty((dim, dim), dtype=complex)
         for idx, a in enumerate(product(range(p), repeat=n)):
-            closed[idx] = _amplitude_row(cn, a)
+            closed[idx] = [rep.amplitude.to_complex()
+                           for rep in amplitude_table(cn, a)]
             dense[idx] = dense_state(cn, a).reshape(-1)
         mags = np.abs(dense)
         nonzero = mags > base.weight / 2

@@ -3,6 +3,7 @@ tables, checked against the dense oracle on small instances."""
 from __future__ import annotations
 
 import cmath
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -14,7 +15,8 @@ from quopitsim import (CapExceeded, Gate, amplitude, amplitude_table,
                        balance_weight, dense_amplitude, diagonalize,
                        extract_phase_polynomial, label_circuit, make_circuit,
                        normalize_to_standard_form, probability, weil_sum)
-from quopitsim.evaluator import _amplitude_row, phase_unit_exponent
+from quopitsim import evaluator
+from quopitsim.evaluator import phase_unit_exponent
 from quopitsim.fields import ExactScalar
 
 
@@ -161,20 +163,55 @@ def test_table_exact_at_large_modulus(p):
         assert table[b].amplitude == reference_amplitude(c, (1,), (b,)), b
 
 
-def test_amplitude_row_agrees_with_reports():
-    c = make_circuit(3, 2, [Gate.fourier(0), Gate.sum(0, 1), Gate.phase(1)])
-    row = _amplitude_row(c, (1, 2))
-    reports = amplitude_table(c, (1, 2))
-    direct = np.array([rep.amplitude.to_complex() for rep in reports])
-    assert np.max(np.abs(row - direct)) < 1e-12
-
-
 def test_table_cap():
     c = make_circuit(7, 6, [])
     with pytest.raises(CapExceeded):
         amplitude_table(c, (0,) * 6)
-    with pytest.raises(CapExceeded):
-        _amplitude_row(c, (0,) * 6)
+
+
+def test_table_checks_input_length():
+    c = make_circuit(3, 2, [Gate.fourier(0), Gate.sum(0, 1)])
+    with pytest.raises(ValueError):
+        amplitude_table(c, (0,))
+    with pytest.raises(ValueError):
+        amplitude_table(c, (0, 0, 0))
+
+
+def test_table_extracts_once(monkeypatch):
+    # b only scales the final register rows, so one b-free pass covers
+    # every outcome; count the extractions under both names the evaluator
+    # can reach them by
+    calls = []
+
+    def counted(name):
+        fn = getattr(evaluator, name, None)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("_extract_b_free", "phase_polynomial_direct"):
+        monkeypatch.setattr(evaluator, name, counted(name), raising=False)
+    c = random_circuit(np.random.default_rng(5), 3, 3, 20)
+    table = amplitude_table(c, (1, 0, 2))
+    assert len(table) == 27
+    assert calls == ["_extract_b_free"]
+
+
+def test_table_memory_is_bounded():
+    # 59049 outcomes with alpha = 222: the whole alpha x p^n mu matrix
+    # alone would be 100 MB, so only chunked assembly stays under the bound
+    c = random_circuit(np.random.default_rng(0), 3, 10, 600)
+    tracemalloc.start()
+    try:
+        table = amplitude_table(c, (0,) * 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 3 ** 10
+    assert table[0].alpha == 222
+    assert peak < 64 * 2 ** 20, peak / 2 ** 20
 
 
 def test_invariants_do_not_depend_on_tuples():
