@@ -1,6 +1,6 @@
 """Exact evaluation of quopit Clifford circuits by sums over paths."""
 
-from .circuit import (Circuit, CircuitParseError, Gate,
+from .circuit import (CapExceeded, Circuit, CircuitParseError, Gate,
                       classify_fourier_gates, make_circuit,
                       normalize_to_standard_form, parse_circuit,
                       serialize_circuit)
@@ -8,13 +8,12 @@ from .evaluator import (AmplitudeReport, amplitude, amplitude_table,
                         balance_weight, probability, weil_sum)
 from .fields import (ExactScalar, FieldElement, OddPrime, inverse_mod,
                      legendre, parse_exact_scalar)
-from .oracle import (CapExceeded, brute_force_path_sum, dense_amplitude,
-                     dense_state)
+from .oracle import (brute_force_path_sum, dense_amplitude, dense_state,
+                     diagonalize_reference, extract_phase_polynomial, gf_rank,
+                     split_step)
 from .pathsum import (AffineForm, LabeledCircuit, QuadraticForm,
-                      extract_phase_polynomial, label_circuit,
-                      phase_polynomial_direct)
-from .quadform import (DiagonalizationResult, diagonalize,
-                       diagonalize_reference, gf_rank, split_step)
+                      label_circuit, phase_polynomial_direct)
+from .quadform import DiagonalizationResult, diagonalize
 
 __version__ = "0.1.0"
 

@@ -22,6 +22,11 @@ class CircuitParseError(ValueError):
     """Raised for malformed circuit text or invalid circuit structure."""
 
 
+class CapExceeded(Exception):
+    """A size guard tripped: a table, a dense dimension or a path
+    enumeration too large to evaluate."""
+
+
 @dataclass(frozen=True)
 class Gate:
     kind: str

@@ -3,8 +3,8 @@
 Subcommands: amp, prob, table, weight, check, normalize. Output is
 deterministic: decimals are fixed at six fractional digits (round-half-even)
 and `check` draws its random transitions from a seeded generator. Exit codes:
-0 success, 1 parse/validation failure (or an oracle deviation in `check`),
-2 brute-force cap exceeded.
+0 success, 1 parse/validation failure (or an oracle deviation in `check`,
+or a modulus too large for exact elimination), 2 brute-force cap exceeded.
 """
 from __future__ import annotations
 
@@ -16,14 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuit import (Circuit, CircuitParseError, classify_fourier_gates,
-                      normalize_to_standard_form, parse_circuit,
-                      serialize_circuit)
+from .circuit import (CapExceeded, Circuit, CircuitParseError,
+                      classify_fourier_gates, normalize_to_standard_form,
+                      parse_circuit, serialize_circuit)
 from .evaluator import amplitude, amplitude_table, balance_weight
-from .oracle import (PATH_ENUM_CAP, CapExceeded, brute_force_path_sum,
-                     dense_amplitude)
-from .pathsum import (extract_phase_polynomial, label_circuit,
-                      phase_polynomial_direct, render_labels,
+from .oracle import PATH_ENUM_CAP, brute_force_path_sum, dense_amplitude
+from .pathsum import (label_circuit, phase_polynomial_direct, render_labels,
                       render_phase_polynomial)
 from .quadform import diagonalize
 
@@ -52,8 +50,8 @@ def _fmt_complex(z: complex) -> str:
     return f"{re:.6f}{im:+.6f}i"
 
 
-def _vec(v) -> str:
-    return "[" + " ".join(str(int(x)) for x in v) + "]"
+def _vec(v: np.ndarray) -> str:
+    return "[" + " ".join(map(str, v.tolist())) + "]"
 
 
 def _matrix_lines(M) -> list[str]:
@@ -83,17 +81,17 @@ def _parse_tuple(text: str, n: int, p: int, flag: str) -> tuple[int, ...]:
 
 def _explain(cn: Circuit, a, b) -> list[str]:
     p = int(cn.modulus)
-    lc = label_circuit(cn, a, b)
-    q = extract_phase_polynomial(lc)
-    res = diagonalize(q.theta, p, want_l=True, eta=q.eta)
+    q = phase_polynomial_direct(cn, a, b)
+    res = diagonalize(q.theta, p, want_l=True, eta=q.eta,
+                      assume_canonical=True)
     name = lambda i: f"x{i + 1}"
     groups = {"X": [], "Y": [], "Z": []}
     for i, (lam, mu) in enumerate(zip(res.diagonal, res.mu)):
         key = "X" if lam else ("Z" if mu else "Y")
         groups[key].append(name(i))
     lines = [f"standard form: p = {p}, n = {cn.n}, gates = {len(cn.gates)}, "
-             f"alpha = {lc.alpha}"]
-    lines += render_labels(lc)
+             f"alpha = {len(q.eta)}"]
+    lines += render_labels(label_circuit(cn, a, b))
     lines.append(render_phase_polynomial(q))
     lines.append("Theta =")
     lines += _matrix_lines(q.theta)
@@ -118,35 +116,24 @@ def _report_json(rep) -> str:
     })
 
 
-def _transition_args(args):
-    c = _load_circuit(args.circuit)
-    cn = normalize_to_standard_form(c)
-    p = int(cn.modulus)
-    a = _parse_tuple(args.a, cn.n, p, "-a")
-    b = _parse_tuple(args.b, cn.n, p, "-b")
-    return cn, a, b
+def _circuit_and_input(args):
+    cn = normalize_to_standard_form(_load_circuit(args.circuit))
+    return cn, _parse_tuple(args.a, cn.n, int(cn.modulus), "-a")
 
 
-def cmd_amp(args) -> int:
-    cn, a, b = _transition_args(args)
+def cmd_transition(args) -> int:
+    """amp and prob: the same evaluation, printed as an amplitude or as a
+    probability."""
+    cn, a = _circuit_and_input(args)
+    b = _parse_tuple(args.b, cn.n, int(cn.modulus), "-b")
     if args.explain:
         print("\n".join(_explain(cn, a, b)))
     rep = amplitude(cn, a, b)
     if args.json:
         print(_report_json(rep))
-    else:
+    elif args.command == "amp":
         print(rep.amplitude.render())
         print(_fmt_complex(rep.amplitude.to_complex()))
-    return 0
-
-
-def cmd_prob(args) -> int:
-    cn, a, b = _transition_args(args)
-    if args.explain:
-        print("\n".join(_explain(cn, a, b)))
-    rep = amplitude(cn, a, b)
-    if args.json:
-        print(_report_json(rep))
     else:
         print(rep.probability)
         print(_fmt(float(rep.probability)))
@@ -154,13 +141,9 @@ def cmd_prob(args) -> int:
 
 
 def cmd_table(args) -> int:
-    c = _load_circuit(args.circuit)
-    cn = normalize_to_standard_form(c)
-    p = int(cn.modulus)
-    a = _parse_tuple(args.a, cn.n, p, "-a")
-    reports = amplitude_table(cn, a)
-    outcomes = itertools.product(range(p), repeat=cn.n)
-    for b, rep in zip(outcomes, reports):
+    cn, a = _circuit_and_input(args)
+    outcomes = itertools.product(range(int(cn.modulus)), repeat=cn.n)
+    for b, rep in zip(outcomes, amplitude_table(cn, a)):
         label = ",".join(map(str, b))
         print(f"{label}\t{rep.amplitude.render()}\t{rep.probability}")
     return 0
@@ -240,9 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(func=func)
         return sp
 
-    add("amp", cmd_amp, "transition amplitude <b|U|a>",
+    add("amp", cmd_transition, "transition amplitude <b|U|a>",
         wants_a=True, wants_b=True, transition_flags=True)
-    add("prob", cmd_prob, "outcome probability |<b|U|a>|^2",
+    add("prob", cmd_transition, "outcome probability |<b|U|a>|^2",
         wants_a=True, wants_b=True, transition_flags=True)
     add("table", cmd_table, "amplitudes for every outcome b", wants_a=True)
     add("weight", cmd_weight, "balancedness weight and rank")

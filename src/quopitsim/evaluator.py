@@ -29,9 +29,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circuit import Circuit, normalize_to_standard_form
+from .circuit import CapExceeded, Circuit, normalize_to_standard_form
 from .fields import ExactScalar, OddPrime, inverse_mod, legendre
-from .oracle import CapExceeded
 from .pathsum import _extract_b_free, phase_polynomial_direct
 from .quadform import diagonalize
 

@@ -26,18 +26,12 @@ class OddPrime(int):
 
 
 def inverse_mod(x: int, p: int) -> int:
-    """Multiplicative inverse of x modulo p, by the extended Euclid algorithm."""
-    x = x % p
+    """Multiplicative inverse of x modulo p; numpy integers are accepted."""
+    p = int(p)
+    x = int(x) % p
     if x == 0:
         raise ZeroDivisionError(f"0 has no inverse modulo {p}")
-    # invariants: r = s*x + t*p (t never needed)
-    r0, r1 = p, x
-    s0, s1 = 0, 1
-    while r1:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    return s0 % p
+    return pow(x, -1, p)
 
 
 class FieldElement:

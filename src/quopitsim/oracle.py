@@ -1,8 +1,15 @@
-"""Brute-force references used only for validation at desk scale.
+"""References used only for validation at desk scale.
 
 Two independent oracles: a dense state-vector simulator applying the literal
 gate matrices, and a direct enumeration of the path-sum formula
 p^(-(n+alpha)/2) * sum over x in F_p^alpha of chi(S(x)).
+
+Beside them, the literal versions of two pipeline stages, which the tests
+hold the production engines to: `extract_phase_polynomial` expands S(x)
+gate by gate from the wire labels of `pathsum.label_circuit`, and
+`diagonalize_reference` composes the one-coordinate peel `split_step`. The
+Gaussian-elimination `gf_rank` cross-checks ranks independently of both.
+No production module imports this one.
 """
 from __future__ import annotations
 
@@ -10,15 +17,13 @@ import cmath
 
 import numpy as np
 
-from .circuit import FOURIER, PHASE, SUM, Circuit
+from .circuit import FOURIER, PHASE, SUM, CapExceeded, Circuit
 from .fields import inverse_mod
+from .pathsum import AffineForm, LabeledCircuit, QuadraticForm
+from .quadform import DiagonalizationResult, _as_symmetric
 
 DENSE_DIM_CAP = 10_000
 PATH_ENUM_CAP = 1_000_000
-
-
-class CapExceeded(Exception):
-    """A brute-force guard tripped (dimension or enumeration size)."""
 
 
 def chi_table(p: int) -> np.ndarray:
@@ -103,3 +108,137 @@ def brute_force_path_sum(q, n: int) -> complex:
     eta = np.asarray(q.eta, dtype=np.int64)
     s = (np.einsum("xi,ij,xj->x", grid, theta, grid) + grid @ eta + q.zeta) % p
     return prefactor * chi_table(p)[s].sum()
+
+
+def _accumulate_product(theta, eta, u: AffineForm, v: AffineForm,
+                        scale: int, inv2: int, p: int) -> int:
+    """Add scale*u*v to the accumulators; returns the constant contribution.
+
+    Cross terms x_i x_j (i != j) are split evenly between theta[i,j] and
+    theta[j,i] via 2^(-1); squares land on the diagonal whole.
+    """
+    for i, ci in u.coeffs:
+        w = (scale * ci) % p
+        for j, cj in v.coeffs:
+            if i == j:
+                theta[i, i] += w * cj
+            else:
+                half = (inv2 * w * cj) % p
+                theta[i, j] += half
+                theta[j, i] += half
+        eta[i] += w * v.constant
+    w = (scale * u.constant) % p
+    for j, cj in v.coeffs:
+        eta[j] += w * cj
+    return w * v.constant
+
+
+def extract_phase_polynomial(lc: LabeledCircuit) -> QuadraticForm:
+    """Expand Eq.-style gate terms from the labeled circuit into (Theta, eta,
+    zeta). Products of affine labels are at most quadratic by construction."""
+    c = lc.circuit
+    p = int(c.modulus)
+    inv2 = inverse_mod(2, p)
+    alpha = lc.alpha
+    theta = np.zeros((alpha, alpha), dtype=np.int64)
+    eta = np.zeros(alpha, dtype=np.int64)
+    zeta = 0
+    for i, gate in enumerate(c.gates):
+        if gate.kind == FOURIER:
+            u = lc.gate_inputs(i)[0]
+            v = lc.gate_outputs(i)[0]
+            zeta += _accumulate_product(theta, eta, u, v, 1, inv2, p)
+        elif gate.kind == PHASE:
+            u = lc.gate_inputs(i)[0]
+            zeta += _accumulate_product(theta, eta, u, u + (-1), inv2, inv2, p)
+    return QuadraticForm(p, theta % p, eta % p, zeta % p)
+
+
+def split_step(A, p: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """One peel: returns (P, a, B) with P invertible over F_p and
+    P^T A P = [a] (+) B, where B is symmetric of dimension one less.
+
+    For A = 0 this is (I, 0, 0). Otherwise the pivot is the first nonzero
+    diagonal entry, or, failing that, the row-major first nonzero entry
+    A[I,J] combined into the diagonal via c = e_I + e_J (so a = 2*A[I,J]).
+    """
+    M = _as_symmetric(A, p)
+    k = M.shape[0]
+    if not M.any():
+        return np.eye(k, dtype=np.int64), 0, np.zeros((k - 1, k - 1),
+                                                      dtype=np.int64)
+    diag_support = np.flatnonzero(M.diagonal())
+    c = np.zeros(k, dtype=np.int64)
+    if diag_support.size:
+        I = int(diag_support[0])
+        a = int(M[I, I])
+        c[I] = 1
+    else:
+        I, J = np.argwhere(M)[0]
+        a = int(2 * M[I, J]) % p
+        c[I] = c[J] = 1
+    pivot = int(np.flatnonzero(c)[0])  # equals I in both cases
+    C = np.zeros((k, k), dtype=np.int64)
+    C[:, 0] = c
+    keep = [m for m in range(k) if m != pivot]
+    for col, m in enumerate(keep, start=1):
+        C[m, col] = 1
+    G = (C.T @ M @ C) % p
+    b = G[0]
+    ainv = inverse_mod(a, p)
+    D = np.eye(k, dtype=np.int64)
+    D[0, 1:] = (-ainv * b[1:]) % p
+    P = (C @ D) % p
+    # Polarization of the completed-square remainder q(y) = y^T G y restricted
+    # to y_0 = -a^(-1) * b[1:] . y[1:]: its coefficient matrix.
+    Q = (G[1:, 1:] - ainv * np.outer(b[1:], b[1:])) % p
+    inv2 = inverse_mod(2, p)
+    B = (inv2 * (Q + Q.T)) % p
+    return P, a % p, B
+
+
+def diagonalize_reference(theta, p: int) -> DiagonalizationResult:
+    """Literal composition of split_step: peel the top-left coordinate off
+    repeatedly, padding each step's P with an identity block. Kept as the
+    ground truth the blocked engine is tested against."""
+    M = _as_symmetric(theta, p)
+    alpha = M.shape[0]
+    L = np.eye(alpha, dtype=np.int64)
+    diagonal = np.zeros(alpha, dtype=np.int64)
+    for t in range(alpha):
+        if alpha - t == 1:
+            diagonal[t] = M[0, 0] % p
+            break
+        P, a, B = split_step(M, p)
+        diagonal[t] = a
+        padded = np.eye(alpha, dtype=np.int64)
+        padded[t:, t:] = P
+        L = (L @ padded) % p
+        M = B
+    rank = int(np.count_nonzero(diagonal))
+    return DiagonalizationResult(L, diagonal, rank, None)
+
+
+def gf_rank(A, p: int) -> int:
+    """Rank over F_p by plain Gaussian elimination. Independent of the
+    congruence machinery above; used to cross-check `rank`."""
+    M = (np.asarray(A, dtype=np.int64) % p).copy()
+    if M.ndim != 2:
+        raise ValueError("need a matrix")
+    rows, cols = M.shape
+    r = 0
+    for col in range(cols):
+        support = np.flatnonzero(M[r:, col])
+        if not support.size:
+            continue
+        pivot_row = r + int(support[0])
+        if pivot_row != r:
+            M[[r, pivot_row]] = M[[pivot_row, r]]
+        inv = inverse_mod(int(M[r, col]), p)
+        M[r] = (M[r] * inv) % p
+        below = M[r + 1:, col]
+        M[r + 1:] = (M[r + 1:] - np.outer(below, M[r])) % p
+        r += 1
+        if r == rows:
+            break
+    return r

@@ -1,4 +1,4 @@
-"""Wire labeling and phase-polynomial extraction.
+"""Wire labeling and the phase-polynomial extractor every evaluation runs.
 
 Every wire of a standard-form circuit carries a label that is affine in the
 path variables x_l (one per non-terminal Fourier gate, numbered in file
@@ -11,6 +11,12 @@ is quadratic, S(x) = x^T Theta x + eta^T x + zeta, with Theta symmetric and
 independent of the input/outcome tuples (a, b). The outcome b_r only
 multiplies register r's final label, so eta and zeta are affine in b with
 the final register rows of one b-free streaming pass as coefficients.
+
+`phase_polynomial_direct` streams that pass; `amplitude`, tables and
+`--explain` all take S(x) from it. `label_circuit` builds the per-wire
+labels that `--explain` prints. The literal expansion of S(x) from those
+labels, `oracle.extract_phase_polynomial`, is the reference the tests hold
+the streaming extractor to.
 """
 from __future__ import annotations
 
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import (FOURIER, NON_TERMINAL, PHASE, SUM, Circuit,
+from .circuit import (FOURIER, NON_TERMINAL, SUM, Circuit,
                       CircuitParseError, classify_fourier_gates)
 from .fields import inverse_mod
 
@@ -152,50 +158,6 @@ def label_circuit(c: Circuit, a, b) -> LabeledCircuit:
     return LabeledCircuit(c, a, b, alpha, tuple(snapshots))
 
 
-def _accumulate_product(theta, eta, u: AffineForm, v: AffineForm,
-                        scale: int, inv2: int, p: int) -> int:
-    """Add scale*u*v to the accumulators; returns the constant contribution.
-
-    Cross terms x_i x_j (i != j) are split evenly between theta[i,j] and
-    theta[j,i] via 2^(-1); squares land on the diagonal whole.
-    """
-    for i, ci in u.coeffs:
-        w = (scale * ci) % p
-        for j, cj in v.coeffs:
-            if i == j:
-                theta[i, i] += w * cj
-            else:
-                half = (inv2 * w * cj) % p
-                theta[i, j] += half
-                theta[j, i] += half
-        eta[i] += w * v.constant
-    w = (scale * u.constant) % p
-    for j, cj in v.coeffs:
-        eta[j] += w * cj
-    return w * v.constant
-
-
-def extract_phase_polynomial(lc: LabeledCircuit) -> QuadraticForm:
-    """Expand Eq.-style gate terms from the labeled circuit into (Theta, eta,
-    zeta). Products of affine labels are at most quadratic by construction."""
-    c = lc.circuit
-    p = int(c.modulus)
-    inv2 = inverse_mod(2, p)
-    alpha = lc.alpha
-    theta = np.zeros((alpha, alpha), dtype=np.int64)
-    eta = np.zeros(alpha, dtype=np.int64)
-    zeta = 0
-    for i, gate in enumerate(c.gates):
-        if gate.kind == FOURIER:
-            u = lc.gate_inputs(i)[0]
-            v = lc.gate_outputs(i)[0]
-            zeta += _accumulate_product(theta, eta, u, v, 1, inv2, p)
-        elif gate.kind == PHASE:
-            u = lc.gate_inputs(i)[0]
-            zeta += _accumulate_product(theta, eta, u, u + (-1), inv2, inv2, p)
-    return QuadraticForm(p, theta % p, eta % p, zeta % p)
-
-
 def _extract_b_free(c: Circuit, a) -> tuple[QuadraticForm, np.ndarray]:
     """One streaming pass over a standard-form circuit for input a: the
     phase polynomial at outcome b = 0 and the final register rows
@@ -260,7 +222,7 @@ def _extract_b_free(c: Circuit, a) -> tuple[QuadraticForm, np.ndarray]:
 
 
 def phase_polynomial_direct(c: Circuit, a, b) -> QuadraticForm:
-    """Streaming equivalent of label_circuit + extract_phase_polynomial.
+    """Streaming equivalent of label_circuit + oracle.extract_phase_polynomial.
 
     Keeps one dense coefficient row per register (constant followed by the
     alpha path-variable coefficients) and folds each gate's term into the
@@ -281,18 +243,21 @@ def render_phase_polynomial(q: QuadraticForm, namer=None) -> str:
     terms by index, then linear terms, then the constant."""
     namer = namer or (lambda l: f"x{l + 1}")
     p = q.modulus
-    alpha = len(q.eta)
+    theta = q.theta
+    # theta is symmetric, so its upper-triangle nonzeros in row-major order
+    # are the terms in canonical order
+    rows, cols = np.nonzero(theta)
+    upper = rows <= cols
+    rows, cols = rows[upper], cols[upper]
+    coeffs = np.where(rows == cols, theta[rows, cols],
+                      (theta[rows, cols] + theta[cols, rows]) % p)
     parts = []
-    for i in range(alpha):
-        for j in range(i, alpha):
-            coeff = int(q.theta[i, j]) if i == j \
-                else (int(q.theta[i, j]) + int(q.theta[j, i])) % p
-            if not coeff:
-                continue
-            term = f"{namer(i)}^2" if i == j else f"{namer(i)}*{namer(j)}"
-            parts.append(term if coeff == 1 else f"{coeff}*{term}")
-    for i in range(alpha):
-        coeff = int(q.eta[i])
+    for i, j, coeff in zip(rows.tolist(), cols.tolist(), coeffs.tolist()):
+        if not coeff:
+            continue
+        term = f"{namer(i)}^2" if i == j else f"{namer(i)}*{namer(j)}"
+        parts.append(term if coeff == 1 else f"{coeff}*{term}")
+    for i, coeff in enumerate(q.eta.tolist()):
         if coeff:
             parts.append(namer(i) if coeff == 1 else f"{coeff}*{namer(i)}")
     if q.zeta or not parts:

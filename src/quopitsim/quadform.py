@@ -1,19 +1,13 @@
 """Congruence diagonalization of symmetric matrices over F_p (p an odd prime).
 
-`split_step` peels one coordinate off a symmetric matrix A, returning an
-invertible P with P^T A P = [a] (+) B. `diagonalize` iterates that step to a
-full congruence L^T A L = diag(lambda), with two implementations kept in the
-package on purpose:
+`diagonalize` computes L invertible with L^T A L = diag(lambda) by panel-
+blocked rank-1 updates, so the trailing matrix is touched O(alpha/panel)
+times instead of O(alpha) times. Its one-peel-at-a-time ground truth,
+`oracle.diagonalize_reference`, composes `oracle.split_step` literally; the
+tests require the same L and the same diagonal, entry for entry.
 
- - `diagonalize_reference` composes `split_step` literally, one padded P per
-   peel. Quadratic-size copies per step make it O(alpha^4); fine for small
-   matrices and used to pin down the production engine in tests.
- - `diagonalize` performs the same pivot choices with panel-blocked rank-1
-   updates, so the trailing matrix is touched O(alpha/panel) times instead of
-   O(alpha) times. Same L, same diagonal, entry for entry.
-
-Pivot rule, in both: use the first nonzero diagonal entry (lowest index); if
-the diagonal is all zero but A is not, take the row-major first nonzero
+Pivot rule: use the first nonzero diagonal entry (lowest index); if the
+diagonal is all zero but A is not, take the row-major first nonzero
 off-diagonal entry A[I,J] and fold coordinate J into I (x_I' = x_I + x_J),
 which puts 2*A[I,J] on the diagonal.
 
@@ -41,49 +35,6 @@ def _as_symmetric(A, p: int) -> np.ndarray:
     return M
 
 
-def split_step(A, p: int) -> tuple[np.ndarray, int, np.ndarray]:
-    """One peel: returns (P, a, B) with P invertible over F_p and
-    P^T A P = [a] (+) B, where B is symmetric of dimension one less.
-
-    For A = 0 this is (I, 0, 0). Otherwise the pivot is the first nonzero
-    diagonal entry, or, failing that, the row-major first nonzero entry
-    A[I,J] combined into the diagonal via c = e_I + e_J (so a = 2*A[I,J]).
-    """
-    M = _as_symmetric(A, p)
-    k = M.shape[0]
-    if not M.any():
-        return np.eye(k, dtype=np.int64), 0, np.zeros((k - 1, k - 1),
-                                                      dtype=np.int64)
-    diag_support = np.flatnonzero(M.diagonal())
-    c = np.zeros(k, dtype=np.int64)
-    if diag_support.size:
-        I = int(diag_support[0])
-        a = int(M[I, I])
-        c[I] = 1
-    else:
-        I, J = np.argwhere(M)[0]
-        a = int(2 * M[I, J]) % p
-        c[I] = c[J] = 1
-    pivot = int(np.flatnonzero(c)[0])  # equals I in both cases
-    C = np.zeros((k, k), dtype=np.int64)
-    C[:, 0] = c
-    keep = [m for m in range(k) if m != pivot]
-    for col, m in enumerate(keep, start=1):
-        C[m, col] = 1
-    G = (C.T @ M @ C) % p
-    b = G[0]
-    ainv = inverse_mod(a, p)
-    D = np.eye(k, dtype=np.int64)
-    D[0, 1:] = (-ainv * b[1:]) % p
-    P = (C @ D) % p
-    # Polarization of the completed-square remainder q(y) = y^T G y restricted
-    # to y_0 = -a^(-1) * b[1:] . y[1:]: its coefficient matrix.
-    Q = (G[1:, 1:] - ainv * np.outer(b[1:], b[1:])) % p
-    inv2 = inverse_mod(2, p)
-    B = (inv2 * (Q + Q.T)) % p
-    return P, a % p, B
-
-
 @dataclass(frozen=True)
 class DiagonalizationResult:
     """L^T A L = diag(diagonal); rank counts the nonzero diagonal entries.
@@ -106,35 +57,19 @@ class DiagonalizationResult:
             self.mu.setflags(write=False)
 
 
-def diagonalize_reference(theta, p: int) -> DiagonalizationResult:
-    """Literal composition of split_step: peel the top-left coordinate off
-    repeatedly, padding each step's P with an identity block. Kept as the
-    ground truth the blocked engine is tested against."""
-    M = _as_symmetric(theta, p)
-    alpha = M.shape[0]
-    L = np.eye(alpha, dtype=np.int64)
-    diagonal = np.zeros(alpha, dtype=np.int64)
-    for t in range(alpha):
-        if alpha - t == 1:
-            diagonal[t] = M[0, 0] % p
-            break
-        P, a, B = split_step(M, p)
-        diagonal[t] = a
-        padded = np.eye(alpha, dtype=np.int64)
-        padded[t:, t:] = P
-        L = (L @ padded) % p
-        M = B
-    rank = int(np.count_nonzero(diagonal))
-    return DiagonalizationResult(L, diagonal, rank, None)
-
-
 def _pick_dtype(alpha: int, p: int, panel: int):
     # Lazy mod keeps trailing entries below p + (alpha + panel) * (p - 1)^2;
-    # float32 is exact under 2^24, otherwise fall back to float64. A
-    # right-hand-side entry stays under the same bound: it loses less than
-    # (p - 1)^2 per pivot and a fold restarts it below 2p.
+    # float32 is exact under 2^24 and float64 under 2^53; past that no float
+    # type is exact, so the form is refused. A right-hand-side entry stays
+    # under the same bound: it loses less than (p - 1)^2 per pivot and a
+    # fold restarts it below 2p.
     bound = p + (alpha + panel) * (p - 1) ** 2
-    return np.float32 if bound < 2 ** 24 else np.float64
+    if bound < 2 ** 24:
+        return np.float32
+    if bound < 2 ** 53:
+        return np.float64
+    raise ValueError(f"p = {p} with alpha = {alpha} is beyond exact float64 "
+                     f"elimination: lazy bound {bound} >= 2^53")
 
 
 def diagonalize(theta, p: int, want_l: bool = False, eta=None,
@@ -142,13 +77,14 @@ def diagonalize(theta, p: int, want_l: bool = False, eta=None,
                 assume_canonical: bool = False) -> DiagonalizationResult:
     """Full congruence diagonalization with panel-deferred updates.
 
-    Pivot selection follows split_step exactly (first nonzero diagonal entry,
-    else row-major first off-diagonal fold), so the output matches
-    diagonalize_reference entry for entry. The trailing matrix only receives
-    one matmul per `panel` pivots; the running diagonal and the current pivot
-    row are patched from the panel buffers so pivot decisions never see stale
-    values. Arithmetic stays exact: entries are integers carried in floats
-    small enough to be exact, reduced mod p only when read.
+    Pivot selection follows oracle.split_step exactly (first nonzero
+    diagonal entry, else row-major first off-diagonal fold), so the output
+    matches oracle.diagonalize_reference entry for entry. The trailing
+    matrix only receives one matmul per `panel` pivots; the running diagonal
+    and the current pivot row are patched from the panel buffers so pivot
+    decisions never see stale values. Arithmetic stays exact: entries are
+    integers carried in floats small enough to be exact, reduced mod p only
+    when read; a (p, alpha) too large for float64 raises ValueError.
 
     eta, of shape (alpha,) or (alpha, m), is a set of right-hand sides: row i
     belongs to coordinate i and follows every column operation on Theta, so
@@ -285,28 +221,3 @@ def diagonalize(theta, p: int, want_l: bool = False, eta=None,
     L = rhs[:, m:].T if want_l else None
     mu = None if eta is None else rhs[:, :m].reshape(eta_shape)
     return DiagonalizationResult(L, lam, rank, mu)
-
-
-def gf_rank(A, p: int) -> int:
-    """Rank over F_p by plain Gaussian elimination. Independent of the
-    congruence machinery above; used to cross-check `rank`."""
-    M = (np.asarray(A, dtype=np.int64) % p).copy()
-    if M.ndim != 2:
-        raise ValueError("need a matrix")
-    rows, cols = M.shape
-    r = 0
-    for col in range(cols):
-        support = np.flatnonzero(M[r:, col])
-        if not support.size:
-            continue
-        pivot_row = r + int(support[0])
-        if pivot_row != r:
-            M[[r, pivot_row]] = M[[pivot_row, r]]
-        inv = inverse_mod(int(M[r, col]), p)
-        M[r] = (M[r] * inv) % p
-        below = M[r + 1:, col]
-        M[r + 1:] = (M[r + 1:] - np.outer(below, M[r])) % p
-        r += 1
-        if r == rows:
-            break
-    return r

@@ -1,13 +1,17 @@
 """Command-line behavior: frozen output, exit codes, determinism."""
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 import subprocess
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from conftest import random_circuit
+from quopitsim.circuit import serialize_circuit
 from quopitsim.cli import main
 
 FIG_TEXT = """\
@@ -153,6 +157,61 @@ def test_explain_dump(capsys, circuit_file):
     assert lines[-2:] == ["0", "0.000000+0.000000i"]
 
 
+FIG_EXPLAIN = """\
+standard form: p = 3, n = 3, gates = 9, alpha = 3
+inputs: reg0 = 1, reg1 = 1, reg2 = 1
+gate 1 (R 0): in 1 -> out 1
+gate 2 (F 1): in 1 -> out x1
+gate 3 (SUM 0 1): in (1, x1) -> out (1, x1 + 1)
+gate 4 (F 2): in 1 -> out x2
+gate 5 (F 0): in 1 -> out x3
+gate 6 (SUM 1 2): in (x1 + 1, x2) -> out (x1 + 1, x1 + x2 + 1)
+gate 7 (F 0): in x3 -> out 1
+gate 8 (F 1): in x1 + 1 -> out 1
+gate 9 (F 2): in x1 + x2 + 1 -> out 1
+outputs: reg0 = 1, reg1 = 1, reg2 = 1
+S(x) = 2*x2 + 2*x3 + 2
+Theta =
+[0 0 0]
+[0 0 0]
+[0 0 0]
+eta = [0 2 2]
+zeta = 2
+L =
+[1 0 0]
+[0 1 0]
+[0 0 1]
+diagonal = [0 0 0]
+partition: X = {}, Y = {x1}, Z = {x2, x3}
+"""
+
+
+@pytest.mark.parametrize("command,tail", [
+    ("amp", "0\n0.000000+0.000000i\n"),
+    ("prob", "0\n0.000000\n"),
+])
+def test_explain_full_dump(capsys, circuit_file, command, tail):
+    path = circuit_file(FIG_TEXT)
+    code, out, _ = run(capsys, [command, "-c", path, "-a", "1,1,1",
+                                "-b", "1,1,1", "--explain"])
+    assert code == 0
+    assert out == FIG_EXPLAIN + tail
+
+
+def test_explain_digest_random_circuit(capsys, circuit_file):
+    # full Theta, L and a 31-variable S(x) with squares, cross terms and
+    # linear terms: pins term order and coefficient folding byte for byte
+    c = random_circuit(np.random.default_rng(4), 5, 4, 80)
+    path = circuit_file(serialize_circuit(c))
+    code, out, _ = run(capsys, ["amp", "-c", path, "-a", "1,2,3,4",
+                                "-b", "4,0,2,1", "--explain"])
+    assert code == 0
+    assert out.splitlines()[0] == ("standard form: p = 5, n = 4, gates = 88, "
+                                   "alpha = 31")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ddb6a400a94022bb53c3591ff4807b60dbfd9c0d3c64c8e0aa013a6649d733e2")
+
+
 def test_output_is_deterministic(capsys, circuit_file):
     path = circuit_file(FIG_TEXT)
     runs = []
@@ -191,6 +250,14 @@ def test_bad_modulus_exits_one(capsys, circuit_file):
     assert code == 1
     assert err.startswith("circuit error: ")
     assert "odd prime" in err
+
+
+def test_modulus_beyond_exact_arithmetic_exits_one(capsys, circuit_file):
+    path = circuit_file("p 100000007\nn 1\nF 0\nF 0\n")
+    code, out, err = run(capsys, ["amp", "-c", path, "-a", "0", "-b", "0"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: p = 100000007 with alpha = 1 ")
 
 
 def test_unknown_command_exits_one(capsys):

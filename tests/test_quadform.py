@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from quopitsim.quadform import (DiagonalizationResult, diagonalize,
-                                diagonalize_reference, gf_rank, split_step)
+from quopitsim.oracle import diagonalize_reference, gf_rank, split_step
+from quopitsim.quadform import DiagonalizationResult, diagonalize
 
 PRIMES = [3, 5, 7, 11, 13]
 
@@ -202,6 +202,17 @@ def test_assume_canonical_agrees():
         assert np.array_equal(lax.diagonal, strict.diagonal)
         assert np.array_equal(lax.L, strict.L)
         assert np.array_equal(lax.mu, strict.mu)
+
+
+def test_refuses_modulus_beyond_float64():
+    # the lazy bound p + (alpha + panel)(p - 1)^2 is ~397 * 2^53 here, and
+    # float64 elimination of this matrix gives L^T A L != diag
+    p, alpha = 100000007, 262
+    rng = np.random.default_rng(0)
+    A = rng.integers(0, p, size=(alpha, alpha))
+    A = (A + A.T) % p
+    with pytest.raises(ValueError, match="p = 100000007 with alpha = 262"):
+        diagonalize(A, p, want_l=True)
 
 
 def test_l_skipped_by_default():
