@@ -13,7 +13,7 @@ from .oracle import (brute_force_path_sum, dense_amplitude, dense_state,
                      split_step)
 from .pathsum import (AffineForm, LabeledCircuit, QuadraticForm,
                       label_circuit, phase_polynomial_direct)
-from .quadform import DiagonalizationResult, diagonalize
+from .quadform import DiagonalizationResult, SymmetricEntries, diagonalize
 
 __version__ = "0.1.0"
 
@@ -21,6 +21,7 @@ __all__ = [
     "AffineForm", "AmplitudeReport", "CapExceeded", "Circuit",
     "CircuitParseError", "DiagonalizationResult", "ExactScalar",
     "FieldElement", "Gate", "LabeledCircuit", "OddPrime", "QuadraticForm",
+    "SymmetricEntries",
     "amplitude", "amplitude_table", "balance_weight", "brute_force_path_sum",
     "classify_fourier_gates", "dense_amplitude", "dense_state", "diagonalize",
     "diagonalize_reference", "extract_phase_polynomial", "gf_rank",

@@ -82,8 +82,7 @@ def _parse_tuple(text: str, n: int, p: int, flag: str) -> tuple[int, ...]:
 def _explain(cn: Circuit, a, b) -> list[str]:
     p = int(cn.modulus)
     q = phase_polynomial_direct(cn, a, b)
-    res = diagonalize(q.theta, p, want_l=True, eta=q.eta,
-                      assume_canonical=True)
+    res = diagonalize(q.theta_entries, p, want_l=True, eta=q.eta)
     name = lambda i: f"x{i + 1}"
     groups = {"X": [], "Y": [], "Z": []}
     for i, (lam, mu) in enumerate(zip(res.diagonal, res.mu)):

@@ -121,7 +121,7 @@ def amplitude(c: Circuit, a, b) -> AmplitudeReport:
     p = int(cn.modulus)
     q = phase_polynomial_direct(cn, a, b)
     alpha = len(q.eta)
-    res = diagonalize(q.theta, p, eta=q.eta, assume_canonical=True)
+    res = diagonalize(q.theta_entries, p, eta=q.eta)
     form = _closed_form(p, res.diagonal, res.mu[:, None], np.array([q.zeta]))
     return _reports(cn.modulus, cn.n, alpha, *form)[0]
 
@@ -151,7 +151,7 @@ def amplitude_table(c: Circuit, a) -> list[AmplitudeReport]:
     q0, rows = _extract_b_free(cn, a)
     alpha = len(q0.eta)
     rhs = np.column_stack([q0.eta, rows[:, 1:].T])
-    res = diagonalize(q0.theta, p, eta=rhs, assume_canonical=True)
+    res = diagonalize(q0.theta_entries, p, eta=rhs)
     reports = []
     for start in range(0, total, TABLE_CHUNK):
         stop = min(start + TABLE_CHUNK, total)

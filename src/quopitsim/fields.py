@@ -7,22 +7,30 @@ ExactScalar stores that triple (k, q, c) so equality is decidable.
 from __future__ import annotations
 
 import cmath
+import functools
 import re
+
+
+@functools.lru_cache(maxsize=256)
+def _odd_prime(v: int) -> int:
+    """v if it is an odd prime, else ValueError. Memoised: the same few
+    moduli are validated on every scalar a caller builds from a plain int,
+    and a failed check is not cached."""
+    if v < 3 or v % 2 == 0:
+        raise ValueError(f"modulus must be an odd prime >= 3, got {v}")
+    d = 3
+    while d * d <= v:
+        if v % d == 0:
+            raise ValueError(f"modulus must be prime, got {v} = {d}*{v // d}")
+        d += 2
+    return v
 
 
 class OddPrime(int):
     """An odd prime modulus, validated by trial division at construction."""
 
     def __new__(cls, value):
-        v = int(value)
-        if v < 3 or v % 2 == 0:
-            raise ValueError(f"modulus must be an odd prime >= 3, got {v}")
-        d = 3
-        while d * d <= v:
-            if v % d == 0:
-                raise ValueError(f"modulus must be prime, got {v} = {d}*{v // d}")
-            d += 2
-        return super().__new__(cls, v)
+        return super().__new__(cls, _odd_prime(int(value)))
 
 
 def inverse_mod(x: int, p: int) -> int:

@@ -11,6 +11,10 @@ is quadratic, S(x) = x^T Theta x + eta^T x + zeta, with Theta symmetric and
 independent of the input/outcome tuples (a, b). The outcome b_r only
 multiplies register r's final label, so eta and zeta are affine in b with
 the final register rows of one b-free streaming pass as coefficients.
+Theta is held as its nonzero upper-triangle entries (`SymmetricEntries`)
+from extraction through elimination, which then works in a sliding dense
+window, so memory is O(nnz(Theta) + w^2) rather than O(alpha^2); a dense
+Theta is built only when `QuadraticForm.theta` is read.
 
 `phase_polynomial_direct` streams that pass; `amplitude`, tables and
 `--explain` all take S(x) from it. `label_circuit` builds the per-wire
@@ -27,6 +31,7 @@ import numpy as np
 from .circuit import (FOURIER, NON_TERMINAL, SUM, Circuit,
                       CircuitParseError, classify_fourier_gates)
 from .fields import inverse_mod
+from .quadform import SymmetricEntries, _as_symmetric
 
 
 @dataclass(frozen=True)
@@ -103,24 +108,38 @@ class LabeledCircuit:
         return tuple(after[r] for r in self.circuit.gates[i].registers)
 
 
-@dataclass(eq=False, frozen=True)
 class QuadraticForm:
-    """S(x) = x^T theta x + eta^T x + zeta over F_p (theta symmetric)."""
+    """S(x) = x^T theta x + eta^T x + zeta over F_p (theta symmetric).
 
-    modulus: int
-    theta: np.ndarray
-    eta: np.ndarray
-    zeta: int
+    Theta is held as its nonzero upper-triangle entries, `theta_entries`,
+    which `quadform.diagonalize` eliminates in a sliding dense window, so an
+    evaluation needs O(nnz(Theta) + w^2) memory for a window of w
+    coordinates. The constructor also takes a dense symmetric theta. The
+    read-only dense `theta` is built from the entries each time it is read.
+    """
 
-    def __post_init__(self):
-        self.theta.setflags(write=False)
-        self.eta.setflags(write=False)
+    __slots__ = ("modulus", "theta_entries", "eta", "zeta")
+
+    def __init__(self, modulus: int, theta, eta: np.ndarray, zeta: int):
+        self.modulus = modulus
+        self.theta_entries = (theta if isinstance(theta, SymmetricEntries)
+                              else SymmetricEntries.from_dense(
+                                  _as_symmetric(theta, int(modulus))))
+        self.eta = eta
+        self.zeta = zeta
+        eta.setflags(write=False)
+
+    @property
+    def theta(self) -> np.ndarray:
+        theta = np.asarray(self.theta_entries)
+        theta.setflags(write=False)
+        return theta
 
     def __eq__(self, other):
         if not isinstance(other, QuadraticForm):
             return NotImplemented
         return (self.modulus == other.modulus and self.zeta == other.zeta
-                and np.array_equal(self.theta, other.theta)
+                and self.theta_entries == other.theta_entries
                 and np.array_equal(self.eta, other.eta))
 
 
@@ -167,6 +186,10 @@ def _extract_b_free(c: Circuit, a) -> tuple[QuadraticForm, np.ndarray]:
     The outcome only enters at the terminal Fourier gates, where b_r
     multiplies register r's final label, so those gates add nothing here:
     d eta / d b_r = rows[r, 1:] and d zeta / d b_r = rows[r, 0].
+
+    Theta is never dense: each gate's term is kept as the support and
+    coefficients of its register row, and the terms are coalesced into
+    upper-triangle entries after the pass.
     """
     if not c.standard_form:
         raise CircuitParseError("extraction needs a standard-form circuit")
@@ -175,50 +198,121 @@ def _extract_b_free(c: Circuit, a) -> tuple[QuadraticForm, np.ndarray]:
     inv2 = inverse_mod(2, p)
     roles, alpha = classify_fourier_gates(c)
     rows = np.zeros((c.n, alpha + 1), dtype=np.int64)
-    rows[:, 0] = a
-    theta = np.zeros((alpha, alpha), dtype=np.int64)
+    const = list(a)
     eta = np.zeros(alpha, dtype=np.int64)
     zeta = 0
     next_var = 0
-    # coefficients of x_l with l >= next_var are identically zero, so every
-    # row operation can stop at the current variable count
+    # Theta's terms: a phase gate on coefficient row v adds 2^(-1) v v^T,
+    # kept as (support, v[support]); the Fourier gate that starts x_l adds
+    # 2^(-1) v[s] at (s, l) for s in the support, kept as
+    # (support, v[support], l)
+    squares = []
+    crosses = []
+    # register r's coefficients sit in columns lo[r]:width of its row: those
+    # of x_l with l >= next_var are identically zero, and a register only
+    # regains a variable older than its last Fourier gate through a SUM
+    lo = [1] * c.n
     width = 1
     for i, gate in enumerate(c.gates):
         kind = gate.kind
         if kind == SUM:
-            tgt = rows[gate.target, :width]
-            np.add(tgt, rows[gate.control, :width], out=tgt)
-            tgt %= p
+            ctl, tgt = gate.control, gate.target
+            start = min(lo[ctl], lo[tgt])
+            seg = rows[tgt, start:width]
+            np.add(seg, rows[ctl, start:width], out=seg)
+            seg %= p
+            lo[tgt] = start
+            const[tgt] = (const[tgt] + const[ctl]) % p
         elif kind == FOURIER:
             if roles[i] != NON_TERMINAL:
                 continue
-            row = rows[gate.register]
-            active = row[1:width]
-            support = np.flatnonzero(active)
+            r = gate.register
+            start = lo[r]
+            active = rows[r, start:width]
+            nz = np.flatnonzero(active)
             l = next_var
             next_var += 1
-            if support.size:
-                half = (inv2 * active[support]) % p
-                theta[support, l] += half
-                theta[l, support] += half
-            eta[l] += row[0]
-            row[:width] = 0
-            row[1 + l] = 1
+            if nz.size:
+                crosses.append((nz + (start - 1), active[nz], l))
+            eta[l] += const[r]
+            const[r] = 0
+            active[:] = 0
+            rows[r, 1 + l] = 1
+            lo[r] = 1 + l
             width = 1 + next_var
         else:  # phase gate
-            row = rows[gate.register]
-            active = row[1:width]
-            c0 = int(row[0])
-            support = np.flatnonzero(active)
-            if support.size:
-                cs = active[support]
-                half = (inv2 * cs) % p
-                theta[np.ix_(support, support)] += np.outer(half, cs)
+            r = gate.register
+            start = lo[r]
+            active = rows[r, start:width]
+            c0 = const[r]
+            nz = np.flatnonzero(active)
+            if nz.size:
+                cs = active[nz]
+                support = nz + (start - 1)
+                squares.append((support, cs))
                 eta[support] += ((2 * c0 - 1) * inv2 % p) * cs
+                lo[r] = start + int(nz[0])
             zeta += inv2 * c0 * (c0 - 1)
-    theta %= p
+    rows[:, 0] = const
     eta %= p
+    theta = _theta_entries(alpha, p, inv2, squares, crosses)
     return QuadraticForm(p, theta, eta, zeta % p), rows
+
+
+# square terms expanded at once; bounds the coalescing temporaries
+TERM_BATCH = 1 << 16
+
+
+def _theta_entries(alpha: int, p: int, inv2: int, squares,
+                   crosses) -> SymmetricEntries:
+    """Coalesce the extractor's Theta terms into upper-triangle entries.
+
+    A Fourier gate's terms are the only ones in its variable's column. The
+    square terms are expanded and coalesced about TERM_BATCH at a time, and
+    the batches are merged whenever they outgrow what has been merged so
+    far, so the temporaries stay within a small multiple of nnz(Theta)."""
+    empty = np.zeros(0, dtype=np.int64)
+    support = [s for s, _, _ in crosses]
+    merged = SymmetricEntries.coalesce(
+        alpha, p, np.concatenate([empty, *support]),
+        np.repeat([l for _, _, l in crosses],
+                  [s.size for s in support]).astype(np.int64),
+        inv2 * np.concatenate([empty, *(v for _, v, _ in crosses)]))
+    batches, pending = [], 0
+    start, terms = 0, 0
+    for k, (support, _) in enumerate(squares):
+        terms += support.size * (support.size + 1) // 2
+        if terms < TERM_BATCH and k < len(squares) - 1:
+            continue
+        batches.append(_square_terms(alpha, p, inv2, squares[start:k + 1]))
+        pending += batches[-1].vals.size
+        start, terms = k + 1, 0
+        if pending > merged.vals.size:
+            merged = _merge(alpha, p, [merged, *batches])
+            batches, pending = [], 0
+    return _merge(alpha, p, [merged, *batches]) if batches else merged
+
+
+def _merge(alpha: int, p: int, parts) -> SymmetricEntries:
+    return SymmetricEntries.coalesce(
+        alpha, p, *(np.concatenate([getattr(S, f) for S in parts])
+                    for f in ("rows", "cols", "vals")))
+
+
+def _square_terms(alpha: int, p: int, inv2: int, squares) -> SymmetricEntries:
+    """The upper triangles of 2^(-1) v v^T over a batch of (support,
+    v[support]) pairs, coalesced. The supports are sorted, so element e of a
+    support pairs with itself and every later element of the same one."""
+    sizes = np.array([s.size for s, _ in squares])
+    idx = np.concatenate([s for s, _ in squares])
+    coeffs = np.concatenate([v for _, v in squares])
+    ends = np.repeat(np.cumsum(sizes), sizes)
+    counts = ends - np.arange(idx.size)
+    first = np.repeat(np.arange(idx.size), counts)
+    second = first + np.arange(first.size) - np.repeat(
+        np.cumsum(counts) - counts, counts)
+    vals = (inv2 * coeffs[first]) % p * coeffs[second] % p
+    return SymmetricEntries.coalesce(alpha, p, idx[first], idx[second], vals)
 
 
 def phase_polynomial_direct(c: Circuit, a, b) -> QuadraticForm:
@@ -235,7 +329,7 @@ def phase_polynomial_direct(c: Circuit, a, b) -> QuadraticForm:
     p = q0.modulus
     eta = (q0.eta + rows[:, 1:].T @ np.array(b, dtype=np.int64)) % p
     zeta = q0.zeta + sum(bv * c0 for bv, c0 in zip(b, rows[:, 0].tolist()))
-    return QuadraticForm(p, q0.theta, eta, zeta % p)
+    return QuadraticForm(p, q0.theta_entries, eta, zeta % p)
 
 
 def render_phase_polynomial(q: QuadraticForm, namer=None) -> str:
@@ -243,18 +337,14 @@ def render_phase_polynomial(q: QuadraticForm, namer=None) -> str:
     terms by index, then linear terms, then the constant."""
     namer = namer or (lambda l: f"x{l + 1}")
     p = q.modulus
-    theta = q.theta
-    # theta is symmetric, so its upper-triangle nonzeros in row-major order
-    # are the terms in canonical order
-    rows, cols = np.nonzero(theta)
-    upper = rows <= cols
-    rows, cols = rows[upper], cols[upper]
-    coeffs = np.where(rows == cols, theta[rows, cols],
-                      (theta[rows, cols] + theta[cols, rows]) % p)
+    S = q.theta_entries
+    # a cross term's coefficient is theta[i,j] + theta[j,i]; the terms print
+    # in row-major order of the upper triangle
+    order = np.lexsort((S.cols, S.rows))
+    rows, cols = S.rows[order], S.cols[order]
+    coeffs = np.where(rows == cols, S.vals[order], 2 * S.vals[order] % p)
     parts = []
     for i, j, coeff in zip(rows.tolist(), cols.tolist(), coeffs.tolist()):
-        if not coeff:
-            continue
         term = f"{namer(i)}^2" if i == j else f"{namer(i)}*{namer(j)}"
         parts.append(term if coeff == 1 else f"{coeff}*{term}")
     for i, coeff in enumerate(q.eta.tolist()):

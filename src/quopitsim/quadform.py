@@ -1,15 +1,24 @@
 """Congruence diagonalization of symmetric matrices over F_p (p an odd prime).
 
-`diagonalize` computes L invertible with L^T A L = diag(lambda) by panel-
-blocked rank-1 updates, so the trailing matrix is touched O(alpha/panel)
-times instead of O(alpha) times. Its one-peel-at-a-time ground truth,
-`oracle.diagonalize_reference`, composes `oracle.split_step` literally; the
-tests require the same L and the same diagonal, entry for entry.
+A symmetric matrix is held as its nonzeros: `SymmetricEntries` keeps the
+upper-triangle entries sorted by column. `diagonalize` computes L
+invertible with L^T A L = diag(lambda) by panel-blocked rank-1 updates, so
+the trailing matrix is touched O(alpha/panel) times instead of O(alpha)
+times. Its one-peel-at-a-time ground truth, `oracle.diagonalize_reference`,
+composes `oracle.split_step` literally; the tests require the same L and
+the same diagonal, entry for entry.
 
 Pivot rule: use the first nonzero diagonal entry (lowest index); if the
 diagonal is all zero but A is not, take the row-major first nonzero
 off-diagonal entry A[I,J] and fold coordinate J into I (x_I' = x_I + x_J),
 which puts 2*A[I,J] on the diagonal.
+
+Only a sliding block of coordinates is ever dense. Rank-one updates never
+reach past the running maximum of the pivot rows' support bounds, so every
+entry beyond the loaded block is still an untouched entry of A; a
+coordinate's entries are loaded when the window, a rotation or a fold first
+reaches it, and finished coordinates are dropped from the block. Memory is
+O(nnz(A) + w^2) for a window of w coordinates.
 
 `diagonalize` never forms L while it eliminates. It applies each column
 operation to a matrix of right-hand sides instead, so it returns
@@ -25,6 +34,9 @@ import numpy as np
 
 from .fields import inverse_mod
 
+# rows per block of a panel flush; bounds its temporary at FLUSH_ROWS x window
+FLUSH_ROWS = 512
+
 
 def _as_symmetric(A, p: int) -> np.ndarray:
     M = np.asarray(A, dtype=np.int64) % p
@@ -33,6 +45,60 @@ def _as_symmetric(A, p: int) -> np.ndarray:
     if not np.array_equal(M, M.T):
         raise ValueError("matrix is not symmetric mod p")
     return M
+
+
+class SymmetricEntries:
+    """A symmetric size x size matrix over F_p held as its nonzero
+    upper-triangle entries (rows[k] <= cols[k], vals[k] in [1, p)), sorted
+    by column and then by row, each position once. `np.asarray` gives the
+    dense int64 matrix."""
+
+    __slots__ = ("size", "rows", "cols", "vals")
+
+    def __init__(self, size: int, rows, cols, vals):
+        self.size = int(size)
+        self.rows, self.cols, self.vals = rows, cols, vals
+        for arr in (rows, cols, vals):
+            arr.setflags(write=False)
+
+    @classmethod
+    def from_dense(cls, M: np.ndarray) -> "SymmetricEntries":
+        """M symmetric with entries in [0, p)."""
+        # the transpose's row-major nonzeros are M's in column-major order
+        cols, rows = np.nonzero(M.T)
+        upper = rows <= cols
+        rows, cols = rows[upper], cols[upper]
+        return cls(M.shape[0], rows, cols, M[rows, cols].astype(np.int64))
+
+    @classmethod
+    def coalesce(cls, size: int, p: int, rows, cols,
+                 vals) -> "SymmetricEntries":
+        """Upper-triangle terms (rows <= cols), repeats allowed, summed mod
+        p."""
+        key = cols * size + rows
+        if not key.size:
+            return cls(size, key, key.copy(), key.copy())
+        order = np.argsort(key)
+        key = key[order]
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        total = np.add.reduceat(vals[order], starts) % p
+        keep = total != 0
+        key = key[starts[keep]]
+        return cls(size, key % size, key // size, total[keep])
+
+    def __array__(self, dtype=None, copy=None):
+        M = np.zeros((self.size, self.size), dtype=np.int64)
+        M[self.rows, self.cols] = self.vals
+        M[self.cols, self.rows] = self.vals
+        return M if dtype is None else M.astype(dtype)
+
+    def __eq__(self, other):
+        if not isinstance(other, SymmetricEntries):
+            return NotImplemented
+        return (self.size == other.size
+                and np.array_equal(self.rows, other.rows)
+                and np.array_equal(self.cols, other.cols)
+                and np.array_equal(self.vals, other.vals))
 
 
 @dataclass(frozen=True)
@@ -77,35 +143,41 @@ def diagonalize(theta, p: int, want_l: bool = False, eta=None,
                 assume_canonical: bool = False) -> DiagonalizationResult:
     """Full congruence diagonalization with panel-deferred updates.
 
-    Pivot selection follows oracle.split_step exactly (first nonzero
-    diagonal entry, else row-major first off-diagonal fold), so the output
-    matches oracle.diagonalize_reference entry for entry. The trailing
-    matrix only receives one matmul per `panel` pivots; the running diagonal
-    and the current pivot row are patched from the panel buffers so pivot
-    decisions never see stale values. Arithmetic stays exact: entries are
-    integers carried in floats small enough to be exact, reduced mod p only
-    when read; a (p, alpha) too large for float64 raises ValueError.
+    theta is a SymmetricEntries with values in [0, p), or a dense symmetric
+    matrix, which is turned into its entries on entry. Pivot selection follows
+    oracle.split_step exactly (first nonzero diagonal entry, else row-major
+    first off-diagonal fold), so the output matches
+    oracle.diagonalize_reference entry for entry. The trailing matrix only
+    receives one flush per `panel` pivots; the running diagonal and the
+    current pivot row are patched from the panel buffers so pivot decisions
+    never see stale values. Arithmetic stays exact: entries are integers
+    carried in floats small enough to be exact, reduced mod p only when
+    read; a (p, alpha) too large for float64 raises ValueError.
 
     eta, of shape (alpha,) or (alpha, m), is a set of right-hand sides: row i
     belongs to coordinate i and follows every column operation on Theta, so
     the result's mu = L^T eta keeps eta's shape. want_l appends the identity
     as alpha more right-hand-side columns and returns L = (L^T I)^T.
 
-    assume_canonical certifies that theta is already symmetric with entries
-    in [0, p), skipping one validation pass over the matrix; the extraction
-    code guarantees this shape by construction.
+    assume_canonical certifies that a dense theta is already symmetric with
+    entries in [0, p), skipping one validation pass over the matrix.
 
     All elimination work is confined to a sliding window [t, hi): pivot t's
     update row vanishes at and beyond the running maximum hi of the per-row
     support bounds seen so far, because rank-one updates never create fill
-    to the right of the rows that produced them. Matrices from circuits are
-    close to banded, so the window stays much narrower than the matrix.
+    to the right of the rows that produced them. Only the block [t, top)
+    with top >= hi is held dense; coordinates from top on still carry their
+    original entries, which are loaded when the window, a rotation or a fold
+    first reaches them. Memory is O(nnz(theta) + w^2) for a block of w
+    coordinates; matrices from circuits are close to banded, so the block
+    is usually much narrower than the matrix.
     """
-    if assume_canonical:
-        M = np.asarray(theta)
+    if isinstance(theta, SymmetricEntries):
+        S = theta
     else:
-        M = _as_symmetric(theta, p)
-    alpha = M.shape[0]
+        S = SymmetricEntries.from_dense(
+            np.asarray(theta) if assume_canonical else _as_symmetric(theta, p))
+    alpha = S.size
     eta_shape = None if eta is None else np.shape(eta)
     if eta is not None and (len(eta_shape) not in (1, 2)
                             or eta_shape[0] != alpha):
@@ -116,18 +188,28 @@ def diagonalize(theta, p: int, want_l: bool = False, eta=None,
         return DiagonalizationResult(L, np.zeros(0, dtype=np.int64), 0, mu)
 
     dtype = _pick_dtype(alpha, p, panel)
-    A = M.astype(dtype)
-    d = A.diagonal().copy()
+    rows, cols, vals = S.rows, S.cols, S.vals.astype(dtype)
+    # column c's entries are colptr[c]:colptr[c + 1]
+    colptr = np.searchsorted(cols, np.arange(alpha + 1))
+    d = np.zeros(alpha, dtype=dtype)
+    on_diag = rows == cols
+    d[rows[on_diag]] = vals[on_diag]
     lam = np.zeros(alpha, dtype=np.int64)
     # ext[i] bounds row i's support: A[i, ext[i]:] == 0 (at least i+1 so the
     # window always reaches past the diagonal)
-    nzmask = M != 0
-    ext = np.where(nzmask.any(axis=1),
-                   alpha - np.argmax(nzmask[:, ::-1], axis=1), 0)
-    ext = np.maximum(ext, np.arange(1, alpha + 1))
-    # panel buffers, one row per pending pivot: Vp[j] = wv_j, Wp[j] = row_j
-    Vp = np.zeros((panel, alpha), dtype=dtype)
-    Wp = np.zeros((panel, alpha), dtype=dtype)
+    ext = np.arange(1, alpha + 1)
+    np.maximum.at(ext, rows, cols + 1)
+    # coordinate orig[k] of A sits at position k; pos is the inverse. Only
+    # rotations permute, and only inside the loaded block.
+    orig = np.arange(alpha)
+    pos = np.arange(alpha)
+    # the dense block: position k at A[k - base], for base <= t <= k < top;
+    # the panel buffers share its columns, one row per pending pivot:
+    # Vp[j] = wv_j, Wp[j] = row_j
+    A = np.zeros((0, 0), dtype=dtype)
+    Vp = np.zeros((panel, 0), dtype=dtype)
+    Wp = np.zeros((panel, 0), dtype=dtype)
+    base = top = 0
     # right-hand sides: eta's m columns, then the identity when L is wanted
     m = 0 if eta is None else (eta_shape[1] if len(eta_shape) == 2 else 1)
     rhs = np.zeros((alpha, m + (alpha if want_l else 0)), dtype=dtype)
@@ -140,31 +222,111 @@ def diagonalize(theta, p: int, want_l: bool = False, eta=None,
     j = 0  # pending panel rows
     hi = 0  # window end; grows monotonically
 
+    def load(end: int):
+        # extend the block to [t, end). An entry between a loaded position
+        # and a coordinate c >= top is still A's original entry of orig
+        # there, since no update reaches past hi <= top, so coordinate c
+        # loads as its original column. Finished positions have no entry
+        # that far out.
+        nonlocal A, Vp, Wp, base, top
+        if end <= top:
+            return
+        live, size = top - t, end - t
+        if end - base > A.shape[0]:
+            # grow to half again the block when it would fill more than
+            # three quarters of the buffer, else slide it to the front, which
+            # frees at least a quarter: either way O(w^2) copying buys O(w)
+            # pivots. Growing holds both buffers for a moment, so a buffer
+            # that would cover nine tenths of the remaining coordinates takes
+            # them all and never grows again.
+            if 4 * size > 3 * A.shape[0]:
+                cap = size + size // 2
+                if 10 * cap >= 9 * (alpha - t):
+                    cap = alpha - t
+                grown = np.zeros((cap, cap), dtype=dtype)
+                kept = slice(t - base, top - base)
+                grown[:live, :live] = A[kept, kept]
+                A = grown
+                Vp, Wp = (np.pad(P[:, kept], ((0, 0), (0, cap - live)))
+                          for P in (Vp, Wp))
+            else:
+                # in row blocks no taller than the shift, so no block
+                # overlaps its source
+                shift = t - base
+                for r0 in range(0, live, shift):
+                    r1 = min(r0 + shift, live)
+                    A[r0:r1, :live] = A[r0 + shift:r1 + shift,
+                                        shift:shift + live]
+                for P in (Vp, Wp):
+                    P[:j, :live] = P[:j, shift:shift + live]
+            base = t
+        old, new = top - base, end - base
+        A[old:new, t - base:new] = 0
+        A[t - base:old, old:new] = 0
+        Vp[:j, old:new] = 0
+        Wp[:j, old:new] = 0
+        s0, s1 = colptr[top], colptr[end]
+        r = pos[rows[s0:s1]] - base
+        c = cols[s0:s1] - base
+        A[r, c] = vals[s0:s1]
+        A[c, r] = vals[s0:s1]
+        top = end
+
     def flush():
+        # one block of rows at a time keeps the temporary FLUSH_ROWS x window
         nonlocal j
         if j:
-            np.subtract(A[t:hi, t:hi], Vp[:j, t:hi].T @ Wp[:j, t:hi],
-                        out=A[t:hi, t:hi])
+            lo, end = t - base, hi - base
+            for r0 in range(lo, end, FLUSH_ROWS):
+                r1 = min(r0 + FLUSH_ROWS, end)
+                block = A[r0:r1, lo:end]
+                np.subtract(block, Vp[:j, r0:r1].T @ Wp[:j, lo:end],
+                            out=block)
             j = 0
 
     def rotate_to_front(q: int):
         # cycle coordinates t..q one step so q lands at t; support inside
         # the rotated range can land anywhere up to q, hence the ext clamp.
-        # Rows and columns before t are finished, and those of t..q are
-        # zero from max(hi, ext) on, so only [t, end) is moved.
+        # Rows and columns before t are finished, and entries beyond the
+        # block follow orig, so only the block's [t, top) is moved.
         if q == t:
             return
+        load(q + 1)
         perm = np.concatenate(([q], np.arange(t, q)))
-        end = max(hi, q + 1, int(ext[t:q + 1].max()))
-        A[t:q + 1, t:end] = A[perm, t:end]
-        A[t:end, t:q + 1] = A[t:end, perm]
+        k = perm - base
+        rot = slice(t - base, q + 1 - base)
+        rest = slice(q + 1 - base, top - base)
+        A[rot, t - base:top - base] = A[k, t - base:top - base]
+        A[rot, rot] = A[rot, k]
+        # the block is symmetric mod p, so the moved columns are the moved
+        # rows transposed, which spares a strided gather down the block
+        A[rest, rot] = A[rot, rest].T
         d[t:q + 1] = d[perm]
         ext[t:q + 1] = ext[perm]
         np.maximum(ext[t:q + 1], q + 1, out=ext[t:q + 1])
         if j:
-            Vp[:j, t:q + 1] = Vp[:j, perm]
-            Wp[:j, t:q + 1] = Wp[:j, perm]
+            Vp[:j, t - base:q + 1 - base] = Vp[:j, k]
+            Wp[:j, t - base:q + 1 - base] = Wp[:j, k]
         rhs[t:q + 1] = rhs[perm]
+        orig[t:q + 1] = orig[perm]
+        pos[orig[t:q + 1]] = np.arange(t, q + 1)
+
+    def first_nonzero():
+        # row-major first nonzero of the trailing matrix: in the reduced
+        # block, or among the untouched entries of columns top and on
+        blk = A[t - base:top - base, t - base:top - base]
+        found = None
+        live = np.flatnonzero(blk.any(axis=1))
+        if live.size:
+            r = int(live[0])
+            found = (t + r, t + int(np.flatnonzero(blk[r])[0]))
+        s0 = colptr[top]
+        if s0 < len(rows):
+            r, c = pos[rows[s0:]], cols[s0:]
+            k = int(np.argmin(r * alpha + c))
+            if found is None or (int(r[k]), int(c[k])) < found:
+                found = (int(r[k]), int(c[k]))
+        return found
 
     while t < alpha:
         hits = np.flatnonzero(np.mod(d[t:t + 64], p))
@@ -175,40 +337,44 @@ def diagonalize(theta, p: int, want_l: bool = False, eta=None,
         if hits.size:
             rotate_to_front(t + int(hits[0]))
         else:
-            # diagonal exhausted: reduce the trailing block and look for an
-            # off-diagonal pivot to fold in. Entries beyond the window were
-            # never touched, so the whole trailing block is valid here.
+            # diagonal exhausted: reduce the block and look for an
+            # off-diagonal pivot to fold in; its rows' supports end by
+            # ext[I] and ext[J], so only that far is loaded
             flush()
-            np.mod(A[t:, t:], p, out=A[t:, t:])
-            trailing = A[t:, t:]
-            nz = np.argwhere(trailing)
-            if not nz.size:
+            blk = A[t - base:top - base, t - base:top - base]
+            np.mod(blk, p, out=blk)
+            found = first_nonzero()
+            if found is None:
                 break  # remaining coordinates never enter the form
-            I, J = (int(v) + t for v in nz[0])
-            A[t:, I] += A[t:, J]
-            A[I, t:] += A[J, t:]
-            d[t:] = trailing.diagonal()
+            I, J = found
+            load(max(int(ext[I]), int(ext[J])))
+            blk = slice(t - base, top - base)
+            A[blk, I - base] += A[blk, J - base]
+            A[I - base, blk] += A[J - base, blk]
+            d[t:top] = A[blk, blk].diagonal()
             ext[I] = max(int(ext[I]), int(ext[J]), hi)
             rhs[I] = rhs[I] % p + rhs[J] % p
             rotate_to_front(I)
 
         hi = max(hi, t + 1, int(ext[t]))
+        load(hi)
+        o = base
         a = int(d[t]) % p
         lam[t] = a
         ainv = inverse_mod(a, p)
-        row = A[t, t + 1:hi].copy()
+        row = A[t - o, t + 1 - o:hi - o].copy()
         if j:
-            row -= Vp[:j, t] @ Wp[:j, t + 1:hi]
+            row -= Vp[:j, t - o] @ Wp[:j, t + 1 - o:hi - o]
         np.mod(row, p, out=row)
         wv = ainv * row
         np.mod(wv, p, out=wv)
         d[t + 1:hi] -= wv * row
-        Vp[j, t + 1:hi] = wv
-        Wp[j, t + 1:hi] = row
-        Vp[j, t] = 0
-        Wp[j, t] = 0
-        Vp[j, hi:] = 0
-        Wp[j, hi:] = 0
+        Vp[j, t + 1 - o:hi - o] = wv
+        Wp[j, t + 1 - o:hi - o] = row
+        Vp[j, t - o] = 0
+        Wp[j, t - o] = 0
+        Vp[j, hi - o:] = 0
+        Wp[j, hi - o:] = 0
         rhs[t + 1:hi] -= wv[:, None] * (rhs[t] % p)
         t += 1
         j += 1

@@ -214,6 +214,21 @@ def test_table_memory_is_bounded():
     assert peak < 64 * 2 ** 20, peak / 2 ** 20
 
 
+def test_amplitude_memory_is_bounded():
+    # alpha = 2770: the dense int64 Theta alone would be 59 MB, so only an
+    # evaluation that keeps Theta as its nonzeros stays under the bound
+    c = random_circuit(np.random.default_rng(0), 3, 50, 8000)
+    tracemalloc.start()
+    try:
+        rep = amplitude(c, (0,) * 50, (0,) * 50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.alpha == 2770
+    assert rep.alpha ** 2 * 8 > 40 * 2 ** 20
+    assert peak < 40 * 2 ** 20, peak / 2 ** 20
+
+
 def test_invariants_do_not_depend_on_tuples():
     rng = np.random.default_rng(113)
     for _ in range(6):

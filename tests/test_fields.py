@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quopitsim import (ExactScalar, FieldElement, OddPrime, inverse_mod,
-                       legendre, parse_exact_scalar)
+from quopitsim import (ExactScalar, FieldElement, OddPrime, fields,
+                       inverse_mod, legendre, parse_exact_scalar)
 
 PRIMES = [3, 5, 7, 11, 13]
 
@@ -19,6 +19,19 @@ def test_odd_prime_accepts_primes():
 def test_odd_prime_rejects(bad):
     with pytest.raises(ValueError):
         OddPrime(bad)
+
+
+def test_odd_prime_validates_once():
+    # weil_sum and ExactScalar build an OddPrime from a plain int on every
+    # call, so a modulus is checked by trial division only the first time
+    fields._odd_prime.cache_clear()
+    assert OddPrime(99991) == OddPrime(99991) == 99991
+    info = fields._odd_prime.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="9 = 3"):
+            OddPrime(9)
+    assert fields._odd_prime.cache_info().currsize == 1
 
 
 def test_inverse_mod_examples():

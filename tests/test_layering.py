@@ -38,3 +38,27 @@ def test_cli_does_not_use_reference_extractor():
         elif isinstance(node, ast.alias):
             names.add(node.name)
     assert "extract_phase_polynomial" not in names
+
+
+def test_evaluator_never_densifies_theta():
+    # `QuadraticForm.theta` builds the dense alpha x alpha matrix; the
+    # evaluator hands `theta_entries` to the engine instead
+    reads = [node.lineno for node in ast.walk(_tree("evaluator"))
+             if isinstance(node, ast.Attribute) and node.attr == "theta"]
+    assert not reads, f"evaluator.py reads .theta at lines {reads}"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_scipy_import(path):
+    # scipy is not a dependency, and importing it would slow every start-up
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        assert not any(n.split(".")[0] == "scipy" for n in names), \
+            f"{path.name} line {node.lineno}"

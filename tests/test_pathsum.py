@@ -154,3 +154,25 @@ def test_quadratic_form_equality():
     assert a == phase_polynomial_direct(
         make_circuit(3, 1, [Gate.fourier(0), Gate.fourier(0)]), (0,), (0,))
     assert QuadraticForm(3, z, e, 0) != QuadraticForm(3, z, e, 1)
+
+
+def test_quadratic_form_from_entries_or_dense():
+    rng = np.random.default_rng(31)
+    cn = normalize_to_standard_form(random_circuit(rng, 5, 3, 30))
+    a, b = (1, 2, 3), (4, 0, 1)
+    direct = phase_polynomial_direct(cn, a, b)
+    ref = extract_phase_polynomial(label_circuit(cn, a, b))
+    theta = direct.theta
+    assert theta.dtype == np.int64 and theta.any()
+    assert np.array_equal(theta, ref.theta)
+    with pytest.raises(ValueError):
+        theta[0, 0] = 1
+    dense = QuadraticForm(5, theta, direct.eta, direct.zeta)
+    assert dense == direct
+    assert dense.theta_entries == direct.theta_entries
+    i, j = (int(v) for v in np.argwhere(theta)[0])
+    changed = theta.copy()
+    changed[i, j] = changed[j, i] = (theta[i, j] + 1) % 5
+    assert QuadraticForm(5, changed, direct.eta, direct.zeta) != direct
+    with pytest.raises(ValueError, match="symmetric"):
+        QuadraticForm(5, np.triu(theta + 1), direct.eta, direct.zeta)

@@ -5,8 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from quopitsim import quadform
 from quopitsim.oracle import diagonalize_reference, gf_rank, split_step
-from quopitsim.quadform import DiagonalizationResult, diagonalize
+from quopitsim.quadform import (DiagonalizationResult, SymmetricEntries,
+                                diagonalize)
 
 PRIMES = [3, 5, 7, 11, 13]
 
@@ -154,6 +156,93 @@ def test_blocked_banded_and_scattered():
         eta = rng.integers(0, p, size=alpha)
         blocked = diagonalize(A, p, want_l=True, eta=eta)
         _assert_same(blocked, diagonalize_reference(A, p), eta, p)
+
+
+def _banded_with_zero_stretches(rng, p: int, alpha: int) -> np.ndarray:
+    # bandwidth 3, and three stretches of 35 coordinates with a zero
+    # diagonal that the band before them does not reach: at a stretch the
+    # first nonzero diagonal entry lies far past the loaded block, so the
+    # pivot rotation has to load up to it
+    A = random_symmetric(rng, alpha, p)
+    r, c = np.indices(A.shape)
+    A[np.abs(r - c) > 3] = 0
+    for start in (10, 60, 110):
+        stretch = np.arange(start, start + 35)
+        A[stretch, stretch] = 0
+        A[:start, start:] = 0
+        A[start:, :start] = 0
+    return A
+
+
+def _block_diagonal_hollow_tail(rng, p: int, sizes, hollow_from: int,
+                                gap: int) -> np.ndarray:
+    # blocks separated by all-zero gaps; every block from hollow_from on
+    # has a zero diagonal, so once the others are eliminated the whole
+    # remaining diagonal is zero and the first off-diagonal entry lies in a
+    # block the engine has not loaded: the fold's rows are beyond the block
+    alpha = sum(sizes) + gap * (len(sizes) - 1)
+    A = np.zeros((alpha, alpha), dtype=np.int64)
+    at = 0
+    for k, size in enumerate(sizes):
+        A[at:at + size, at:at + size] = random_symmetric(
+            rng, size, p, hollow=k >= hollow_from)
+        at += size + gap
+    return A
+
+
+def _sliding_window_inputs():
+    rng = np.random.default_rng(83)
+    yield 5, _banded_with_zero_stretches(rng, 5, 160)
+    yield 3, _block_diagonal_hollow_tail(rng, 3, (30, 25, 20, 20, 15, 15),
+                                         hollow_from=2, gap=12)
+    # both at once: a banded head with a zero stretch, then hollow blocks
+    head = _banded_with_zero_stretches(rng, 7, 150)[:100, :100]
+    tail = _block_diagonal_hollow_tail(rng, 7, (12, 10, 8), hollow_from=0,
+                                       gap=9)
+    A = np.zeros((100 + 9 + len(tail),) * 2, dtype=np.int64)
+    A[:100, :100] = head
+    A[109:, 109:] = tail
+    yield 7, A
+
+
+@pytest.mark.parametrize("p, A", list(_sliding_window_inputs()))
+def test_sliding_window_matches_reference(p, A, monkeypatch):
+    # the reference is computed once per matrix; every panel width and both
+    # eta shapes must reproduce its L and diagonal entry for entry
+    ref = diagonalize_reference(A, p)
+    rng = np.random.default_rng(len(A))
+    entries = SymmetricEntries.from_dense(A % p)
+    for panel in (1, 2, 7, 96):
+        for eta in (rng.integers(0, p, size=len(A)),
+                    rng.integers(0, p, size=(len(A), 2))):
+            _assert_same(diagonalize(A, p, want_l=True, eta=eta,
+                                     panel=panel), ref, eta, p)
+        eta = rng.integers(0, p, size=len(A))
+        sparse = diagonalize(entries, p, eta=eta, panel=panel)
+        assert np.array_equal(sparse.diagonal, ref.diagonal)
+        assert np.array_equal(sparse.mu, (ref.L.T @ eta) % p)
+    # panel flushes split into many row blocks
+    monkeypatch.setattr(quadform, "FLUSH_ROWS", 5)
+    for panel in (7, 96):
+        _assert_same(diagonalize(A, p, want_l=True, eta=eta, panel=panel),
+                     ref, eta, p)
+
+
+def test_symmetric_entries_round_trip():
+    rng = np.random.default_rng(89)
+    A = random_symmetric(rng, 9, 5)
+    A[3] = A[:, 3] = 0
+    S = SymmetricEntries.from_dense(A)
+    assert np.array_equal(np.asarray(S), A)
+    assert np.all(S.rows <= S.cols) and S.vals.all()
+    # sorted by column, then row
+    assert np.all(np.diff(S.cols * 9 + S.rows) > 0)
+    # repeated positions are summed mod p and zero sums dropped
+    summed = SymmetricEntries.coalesce(
+        9, 5, np.concatenate([S.rows, S.rows]),
+        np.concatenate([S.cols, S.cols]), np.concatenate([S.vals, 5 - S.vals]))
+    assert summed.vals.size == 0
+    assert SymmetricEntries.coalesce(9, 5, S.rows, S.cols, 6 * S.vals) == S
 
 
 def test_zero_and_identity_matrices():
