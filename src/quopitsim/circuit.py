@@ -155,10 +155,7 @@ def parse_circuit(text: str) -> Circuit:
             fail(f"unknown directive {key!r}")
     if p is None or n is None:
         raise CircuitParseError("missing `p` or `n` header line")
-    try:
-        return make_circuit(p, n, gates)
-    except CircuitParseError as exc:
-        raise CircuitParseError(str(exc)) from None
+    return make_circuit(p, n, gates)
 
 
 def serialize_circuit(c: Circuit) -> str:

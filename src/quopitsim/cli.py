@@ -5,6 +5,10 @@ deterministic: decimals are fixed at six fractional digits (round-half-even)
 and `check` draws its random transitions from a seeded generator. Exit codes:
 0 success, 1 parse/validation failure (or an oracle deviation in `check`,
 or a modulus too large for exact elimination), 2 brute-force cap exceeded.
+
+`amp --explain` and `prob --explain` run one extraction and one elimination
+(keeping L), print their derivation, and assemble the printed answer from
+that same run.
 """
 from __future__ import annotations
 
@@ -19,10 +23,11 @@ import numpy as np
 from .circuit import (CapExceeded, Circuit, CircuitParseError,
                       classify_fourier_gates, normalize_to_standard_form,
                       parse_circuit, serialize_circuit)
-from .evaluator import amplitude, amplitude_table, balance_weight
+from .evaluator import (amplitude, amplitude_table, assemble_amplitude,
+                        balance_weight)
 from .oracle import PATH_ENUM_CAP, brute_force_path_sum, dense_amplitude
 from .pathsum import (label_circuit, phase_polynomial_direct, render_labels,
-                      render_phase_polynomial)
+                      render_phase_polynomial, variable_name)
 from .quadform import diagonalize
 
 DEVIATION_TOLERANCE = 1e-9
@@ -54,10 +59,6 @@ def _vec(v: np.ndarray) -> str:
     return "[" + " ".join(map(str, v.tolist())) + "]"
 
 
-def _matrix_lines(M) -> list[str]:
-    return [_vec(row) for row in M]
-
-
 def _load_circuit(path: str) -> Circuit:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -79,29 +80,32 @@ def _parse_tuple(text: str, n: int, p: int, flag: str) -> tuple[int, ...]:
     return values
 
 
-def _explain(cn: Circuit, a, b) -> list[str]:
+def _explain(cn: Circuit, a, b):
+    """The dump text and the report for <b|U|a>, both from one extraction
+    and one elimination: the dump prints its L, and its diagonal and mu
+    give the report."""
     p = int(cn.modulus)
     q = phase_polynomial_direct(cn, a, b)
     res = diagonalize(q.theta_entries, p, want_l=True, eta=q.eta)
-    name = lambda i: f"x{i + 1}"
+    rep = assemble_amplitude(cn, q, res.diagonal, res.mu)
     groups = {"X": [], "Y": [], "Z": []}
     for i, (lam, mu) in enumerate(zip(res.diagonal, res.mu)):
         key = "X" if lam else ("Z" if mu else "Y")
-        groups[key].append(name(i))
+        groups[key].append(variable_name(i))
     lines = [f"standard form: p = {p}, n = {cn.n}, gates = {len(cn.gates)}, "
              f"alpha = {len(q.eta)}"]
     lines += render_labels(label_circuit(cn, a, b))
     lines.append(render_phase_polynomial(q))
     lines.append("Theta =")
-    lines += _matrix_lines(q.theta)
+    lines += map(_vec, q.theta)
     lines.append(f"eta = {_vec(q.eta)}")
     lines.append(f"zeta = {q.zeta}")
     lines.append("L =")
-    lines += _matrix_lines(res.L)
+    lines += map(_vec, res.L)
     lines.append(f"diagonal = {_vec(res.diagonal)}")
     lines.append("partition: " + ", ".join(
         f"{key} = {{{', '.join(members)}}}" for key, members in groups.items()))
-    return lines
+    return "\n".join(lines), rep
 
 
 def _report_json(rep) -> str:
@@ -122,12 +126,14 @@ def _circuit_and_input(args):
 
 def cmd_transition(args) -> int:
     """amp and prob: the same evaluation, printed as an amplitude or as a
-    probability."""
+    probability; under --explain it follows the dump it is derived in."""
     cn, a = _circuit_and_input(args)
     b = _parse_tuple(args.b, cn.n, int(cn.modulus), "-b")
     if args.explain:
-        print("\n".join(_explain(cn, a, b)))
-    rep = amplitude(cn, a, b)
+        dump, rep = _explain(cn, a, b)
+        print(dump)
+    else:
+        rep = amplitude(cn, a, b)
     if args.json:
         print(_report_json(rep))
     elif args.command == "amp":
@@ -159,9 +165,15 @@ def cmd_weight(args) -> int:
     return 0
 
 
+def _within_tolerance(oracle: str, deviation: float) -> bool:
+    ok = deviation < DEVIATION_TOLERANCE
+    print(f"max |closed_form - {oracle}| = {deviation:.2e} "
+          f"{'<' if ok else '>='} 1e-9")
+    return ok
+
+
 def cmd_check(args) -> int:
-    c = _load_circuit(args.circuit)
-    cn = normalize_to_standard_form(c)
+    cn = normalize_to_standard_form(_load_circuit(args.circuit))
     p = int(cn.modulus)
     n = cn.n
     _, alpha = classify_fourier_gates(cn)
@@ -179,15 +191,11 @@ def cmd_check(args) -> int:
             max_path = max(max_path, abs(closed - brute_force_path_sum(q, n)))
     print(f"p = {p}, n = {n}, alpha = {alpha}, trials = {args.trials}, "
           f"seed = {args.seed}")
-    ok = max_dense < DEVIATION_TOLERANCE
-    rel = "<" if max_dense < DEVIATION_TOLERANCE else ">="
-    print(f"max |closed_form - dense| = {max_dense:.2e} {rel} 1e-9")
+    ok = _within_tolerance("dense", max_dense)
     if skip_path:
         print(f"path_sum oracle skipped (p^alpha = {p ** alpha} > {PATH_ENUM_CAP})")
     else:
-        ok = ok and max_path < DEVIATION_TOLERANCE
-        rel = "<" if max_path < DEVIATION_TOLERANCE else ">="
-        print(f"max |closed_form - path_sum| = {max_path:.2e} {rel} 1e-9")
+        ok = _within_tolerance("path_sum", max_path) and ok
     return 0 if ok else 1
 
 
@@ -202,18 +210,17 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Exact quopit Clifford circuit evaluation.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, help_text: str, wants_a=False, wants_b=False,
-            transition_flags=False):
+    def add(name: str, func, help_text: str, wants_a=False,
+            transition=False):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("-c", "--circuit", required=True, metavar="FILE",
                         help="circuit file")
         if wants_a:
             sp.add_argument("-a", required=True, metavar="TUPLE",
                             help="input tuple, e.g. 0,1,2 (register 0 first)")
-        if wants_b:
+        if transition:
             sp.add_argument("-b", required=True, metavar="TUPLE",
                             help="outcome tuple")
-        if transition_flags:
             sp.add_argument("--explain", action="store_true",
                             help="dump labels, S(x), Theta/eta/zeta, L, "
                                  "diagonal, and the X/Y/Z partition")
@@ -222,10 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(func=func)
         return sp
 
-    add("amp", cmd_transition, "transition amplitude <b|U|a>",
-        wants_a=True, wants_b=True, transition_flags=True)
-    add("prob", cmd_transition, "outcome probability |<b|U|a>|^2",
-        wants_a=True, wants_b=True, transition_flags=True)
+    for name, help_text in (("amp", "transition amplitude <b|U|a>"),
+                            ("prob", "outcome probability |<b|U|a>|^2")):
+        add(name, cmd_transition, help_text, wants_a=True, transition=True)
     add("table", cmd_table, "amplitudes for every outcome b", wants_a=True)
     add("weight", cmd_weight, "balancedness weight and rank")
     sp = add("check", cmd_check, "compare against brute-force oracles")

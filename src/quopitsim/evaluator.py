@@ -16,9 +16,11 @@ arithmetic; floats only appear when a caller asks for complex values.
 
 Only mu and zeta depend on the transition, and both are affine in (a, b).
 `_closed_form` therefore evaluates the formula for a whole matrix of mu
-columns at once: a single amplitude is one column. An outcome table runs
-one b-free extraction, whose final register rows are d eta / d b_i and
-d zeta / d b_i, hands `diagonalize` the right-hand sides
+columns at once. A single amplitude is one column, which
+`assemble_amplitude` evaluates from one extraction and one diagonalization:
+`amplitude` runs them, and `--explain` runs them with L kept for printing.
+An outcome table runs one b-free extraction, whose final register rows are
+d eta / d b_i and d zeta / d b_i, hands `diagonalize` the right-hand sides
 [eta(b = 0) | d eta / d b_i], and expands them to every outcome b in
 fixed-size chunks, without forming L.
 """
@@ -30,8 +32,9 @@ from fractions import Fraction
 import numpy as np
 
 from .circuit import CapExceeded, Circuit, normalize_to_standard_form
-from .fields import ExactScalar, OddPrime, inverse_mod, legendre
-from .pathsum import _extract_b_free, phase_polynomial_direct
+from .fields import ExactScalar, inverse_mod, legendre
+from .pathsum import (QuadraticForm, _extract_b_free,
+                      phase_polynomial_direct)
 from .quadform import diagonalize
 
 TABLE_CAP = 100_000
@@ -77,12 +80,15 @@ class AmplitudeReport:
     weight: float
 
 
-def _closed_form(p: int, lam: np.ndarray, mu: np.ndarray, zeta: np.ndarray):
-    """The Gauss-sum product for each column of mu (alpha x m) with constant
-    term zeta (m,): returns the rank r, the quarter turns q shared by every
-    column, and per column |Z| and the chi-phase. Each product is reduced
-    mod p before it is summed, so int64 stays exact for every p whose
-    diagonalization is exact."""
+def _closed_form(cn: Circuit, lam: np.ndarray, mu: np.ndarray,
+                 zeta: np.ndarray) -> list[AmplitudeReport]:
+    """The Gauss-sum product of the standard-form circuit cn for each column
+    of mu (alpha x m) with constant term zeta (m,), one report per column:
+    the rank r and the quarter turns q are shared by every column, |Z| and
+    the chi-phase are per column. Each product is reduced mod p before it is
+    summed, so int64 stays exact for every p whose diagonalization is
+    exact."""
+    p = int(cn.modulus)
     nz = lam != 0
     r = int(np.count_nonzero(nz))
     z_size = np.count_nonzero(mu[~nz], axis=0)
@@ -99,31 +105,32 @@ def _closed_form(p: int, lam: np.ndarray, mu: np.ndarray, zeta: np.ndarray):
     for v in lam[nz].tolist():
         prod = (prod * v) % p
     q = r * phase_unit_exponent(p) + (2 if r and legendre(prod, p) == -1 else 0)
-    return r, q, z_size, phase
-
-
-def _reports(p: OddPrime, n: int, alpha: int, r: int, q: int,
-             z_size: np.ndarray, phase: np.ndarray) -> list[AmplitudeReport]:
-    k = alpha - n - r
+    alpha = len(lam)
+    k = alpha - cn.n - r
     weight = float(p) ** (0.5 * k)
-    prob = Fraction(int(p)) ** k
-    zero, zero_prob = ExactScalar.zero(p), Fraction(0)
+    prob = Fraction(p) ** k
+    zero, zero_prob = ExactScalar.zero(cn.modulus), Fraction(0)
     return [AmplitudeReport(zero, zero_prob, r, alpha, z, weight) if z
-            else AmplitudeReport(ExactScalar(p, k, q, c), prob, r, alpha, 0,
-                                 weight)
+            else AmplitudeReport(ExactScalar(cn.modulus, k, q, c), prob, r,
+                                 alpha, 0, weight)
             for z, c in zip(z_size.tolist(), phase.tolist())]
+
+
+def assemble_amplitude(cn: Circuit, q: QuadraticForm, diagonal: np.ndarray,
+                       mu: np.ndarray) -> AmplitudeReport:
+    """The report for one transition of the standard-form circuit cn, from
+    its phase polynomial q and the diagonal and mu = L^T eta of one
+    diagonalization of q's Theta."""
+    return _closed_form(cn, diagonal, mu[:, None], np.array([q.zeta]))[0]
 
 
 def amplitude(c: Circuit, a, b) -> AmplitudeReport:
     """Exact transition amplitude <b|U|a>. The circuit is brought to standard
     form first, so any circuit is accepted."""
     cn = normalize_to_standard_form(c)
-    p = int(cn.modulus)
     q = phase_polynomial_direct(cn, a, b)
-    alpha = len(q.eta)
-    res = diagonalize(q.theta_entries, p, eta=q.eta)
-    form = _closed_form(p, res.diagonal, res.mu[:, None], np.array([q.zeta]))
-    return _reports(cn.modulus, cn.n, alpha, *form)[0]
+    res = diagonalize(q.theta_entries, int(cn.modulus), eta=q.eta)
+    return assemble_amplitude(cn, q, res.diagonal, res.mu)
 
 
 def probability(c: Circuit, a, b) -> Fraction:
@@ -149,7 +156,6 @@ def amplitude_table(c: Circuit, a) -> list[AmplitudeReport]:
     if total > TABLE_CAP:
         raise CapExceeded(f"table has {p}^{n} = {total} rows, cap is {TABLE_CAP}")
     q0, rows = _extract_b_free(cn, a)
-    alpha = len(q0.eta)
     rhs = np.column_stack([q0.eta, rows[:, 1:].T])
     res = diagonalize(q0.theta_entries, p, eta=rhs)
     reports = []
@@ -160,6 +166,5 @@ def amplitude_table(c: Circuit, a) -> list[AmplitudeReport]:
         mu += res.mu[:, :1]
         mu %= p
         zeta = (q0.zeta + rows[:, 0] @ B) % p
-        reports += _reports(cn.modulus, n, alpha,
-                            *_closed_form(p, res.diagonal, mu, zeta))
+        reports += _closed_form(cn, res.diagonal, mu, zeta)
     return reports

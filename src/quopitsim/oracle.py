@@ -14,6 +14,7 @@ No production module imports this one.
 from __future__ import annotations
 
 import cmath
+import functools
 
 import numpy as np
 
@@ -26,21 +27,30 @@ DENSE_DIM_CAP = 10_000
 PATH_ENUM_CAP = 1_000_000
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+# the tables and gate arrays are built once per p and shared, so read-only
+@functools.lru_cache(maxsize=16)
 def chi_table(p: int) -> np.ndarray:
     """chi(a) = exp(2*pi*i*a/p) for a = 0..p-1."""
-    return np.exp(2j * np.pi * np.arange(p) / p)
+    return _read_only(np.exp(2j * np.pi * np.arange(p) / p))
 
 
+@functools.lru_cache(maxsize=16)
 def fourier_matrix(p: int) -> np.ndarray:
     s, t = np.meshgrid(np.arange(p), np.arange(p), indexing="ij")
-    return chi_table(p)[(s * t) % p] / np.sqrt(p)
+    return _read_only(chi_table(p)[(s * t) % p] / np.sqrt(p))
 
 
+@functools.lru_cache(maxsize=16)
 def phase_vector(p: int) -> np.ndarray:
     """Diagonal of the phase gate: chi(t*(t-1)*2^(-1))."""
     t = np.arange(p)
     inv2 = inverse_mod(2, p)
-    return chi_table(p)[(t * (t - 1) * inv2) % p]
+    return _read_only(chi_table(p)[(t * (t - 1) * inv2) % p])
 
 
 def _apply_gate(state: np.ndarray, gate, p: int) -> np.ndarray:

@@ -20,7 +20,9 @@ Theta is built only when `QuadraticForm.theta` is read.
 `--explain` all take S(x) from it. `label_circuit` builds the per-wire
 labels that `--explain` prints. The literal expansion of S(x) from those
 labels, `oracle.extract_phase_polynomial`, is the reference the tests hold
-the streaming extractor to.
+the streaming extractor to. `variable_name` is the one rule by which path
+variables print (x1, x2, ...): in wire labels, in S(x) and in
+`--explain`'s X/Y/Z partition.
 """
 from __future__ import annotations
 
@@ -32,6 +34,24 @@ from .circuit import (FOURIER, NON_TERMINAL, SUM, Circuit,
                       CircuitParseError, classify_fourier_gates)
 from .fields import inverse_mod
 from .quadform import SymmetricEntries, _as_symmetric
+
+
+def variable_name(l: int) -> str:
+    """The printed name of path variable l: x1 for l = 0, x2 for l = 1, ..."""
+    return f"x{l + 1}"
+
+
+def _term(coeff: int, monomial: str) -> str:
+    """coeff * monomial, with a unit coefficient left unwritten."""
+    return monomial if coeff == 1 else f"{coeff}*{monomial}"
+
+
+def _render_sum(parts: list[str], constant: int) -> str:
+    """The terms joined by " + ", then the constant when it is nonzero or
+    there is no term."""
+    if constant or not parts:
+        parts.append(str(constant))
+    return " + ".join(parts)
 
 
 @dataclass(frozen=True)
@@ -75,14 +95,9 @@ class AffineForm:
         return AffineForm.build(self.modulus, self.constant * factor,
                                 ((v, c * factor) for v, c in self.coeffs))
 
-    def render(self, namer=None) -> str:
-        namer = namer or (lambda l: f"x{l + 1}")
-        parts = []
-        for var, coeff in self.coeffs:
-            parts.append(namer(var) if coeff == 1 else f"{coeff}*{namer(var)}")
-        if self.constant or not parts:
-            parts.append(str(self.constant))
-        return " + ".join(parts)
+    def render(self) -> str:
+        parts = [_term(c, variable_name(v)) for v, c in self.coeffs]
+        return _render_sum(parts, self.constant)
 
 
 @dataclass(frozen=True)
@@ -94,8 +109,6 @@ class LabeledCircuit:
     """
 
     circuit: Circuit
-    a: tuple[int, ...]
-    b: tuple[int, ...]
     alpha: int
     snapshots: tuple[tuple[AffineForm, ...], ...]
 
@@ -174,7 +187,7 @@ def label_circuit(c: Circuit, a, b) -> LabeledCircuit:
             labels[gate.target] = labels[gate.control] + labels[gate.target]
         # phase gates propagate the label unchanged
         snapshots.append(tuple(labels))
-    return LabeledCircuit(c, a, b, alpha, tuple(snapshots))
+    return LabeledCircuit(c, alpha, tuple(snapshots))
 
 
 def _extract_b_free(c: Circuit, a) -> tuple[QuadraticForm, np.ndarray]:
@@ -332,10 +345,9 @@ def phase_polynomial_direct(c: Circuit, a, b) -> QuadraticForm:
     return QuadraticForm(p, q0.theta_entries, eta, zeta % p)
 
 
-def render_phase_polynomial(q: QuadraticForm, namer=None) -> str:
+def render_phase_polynomial(q: QuadraticForm) -> str:
     """Human-readable S(x) with terms in canonical order: squares and cross
     terms by index, then linear terms, then the constant."""
-    namer = namer or (lambda l: f"x{l + 1}")
     p = q.modulus
     S = q.theta_entries
     # a cross term's coefficient is theta[i,j] + theta[j,i]; the terms print
@@ -343,16 +355,12 @@ def render_phase_polynomial(q: QuadraticForm, namer=None) -> str:
     order = np.lexsort((S.cols, S.rows))
     rows, cols = S.rows[order], S.cols[order]
     coeffs = np.where(rows == cols, S.vals[order], 2 * S.vals[order] % p)
-    parts = []
-    for i, j, coeff in zip(rows.tolist(), cols.tolist(), coeffs.tolist()):
-        term = f"{namer(i)}^2" if i == j else f"{namer(i)}*{namer(j)}"
-        parts.append(term if coeff == 1 else f"{coeff}*{term}")
-    for i, coeff in enumerate(q.eta.tolist()):
-        if coeff:
-            parts.append(namer(i) if coeff == 1 else f"{coeff}*{namer(i)}")
-    if q.zeta or not parts:
-        parts.append(str(q.zeta))
-    return "S(x) = " + " + ".join(parts)
+    parts = [_term(c, f"{variable_name(i)}^2" if i == j
+                   else f"{variable_name(i)}*{variable_name(j)}")
+             for i, j, c in zip(rows.tolist(), cols.tolist(), coeffs.tolist())]
+    parts += [_term(c, variable_name(i))
+              for i, c in enumerate(q.eta.tolist()) if c]
+    return "S(x) = " + _render_sum(parts, q.zeta)
 
 
 def render_labels(lc: LabeledCircuit) -> list[str]:

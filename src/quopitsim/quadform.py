@@ -2,11 +2,12 @@
 
 A symmetric matrix is held as its nonzeros: `SymmetricEntries` keeps the
 upper-triangle entries sorted by column. `diagonalize` computes L
-invertible with L^T A L = diag(lambda) by panel-blocked rank-1 updates, so
-the trailing matrix is touched O(alpha/panel) times instead of O(alpha)
-times. Its one-peel-at-a-time ground truth, `oracle.diagonalize_reference`,
-composes `oracle.split_step` literally; the tests require the same L and
-the same diagonal, entry for entry.
+invertible with L^T A L = diag(lambda) by rank-1 updates deferred in panels
+of PANEL pivots, so the trailing matrix is touched O(alpha/PANEL) times
+instead of O(alpha) times. The panel width and the flush block height are
+module constants, not parameters. The one-peel-at-a-time ground truth,
+`oracle.diagonalize_reference`, composes `oracle.split_step` literally; the
+tests require the same L and the same diagonal, entry for entry.
 
 Pivot rule: use the first nonzero diagonal entry (lowest index); if the
 diagonal is all zero but A is not, take the row-major first nonzero
@@ -34,6 +35,8 @@ import numpy as np
 
 from .fields import inverse_mod
 
+# pivots per panel: the trailing block receives one flush per PANEL pivots
+PANEL = 96
 # rows per block of a panel flush; bounds its temporary at FLUSH_ROWS x window
 FLUSH_ROWS = 512
 
@@ -116,20 +119,18 @@ class DiagonalizationResult:
     mu: np.ndarray | None
 
     def __post_init__(self):
-        self.diagonal.setflags(write=False)
-        if self.L is not None:
-            self.L.setflags(write=False)
-        if self.mu is not None:
-            self.mu.setflags(write=False)
+        for arr in (self.L, self.diagonal, self.mu):
+            if arr is not None:
+                arr.setflags(write=False)
 
 
-def _pick_dtype(alpha: int, p: int, panel: int):
-    # Lazy mod keeps trailing entries below p + (alpha + panel) * (p - 1)^2;
+def _pick_dtype(alpha: int, p: int):
+    # Lazy mod keeps trailing entries below p + (alpha + PANEL) * (p - 1)^2;
     # float32 is exact under 2^24 and float64 under 2^53; past that no float
     # type is exact, so the form is refused. A right-hand-side entry stays
     # under the same bound: it loses less than (p - 1)^2 per pivot and a
-    # fold restarts it below 2p.
-    bound = p + (alpha + panel) * (p - 1) ** 2
+    # fold restarts it below 2p. An empty form does no arithmetic at all.
+    bound = p + (alpha + PANEL) * (p - 1) ** 2 if alpha else 0
     if bound < 2 ** 24:
         return np.float32
     if bound < 2 ** 53:
@@ -138,9 +139,8 @@ def _pick_dtype(alpha: int, p: int, panel: int):
                      f"elimination: lazy bound {bound} >= 2^53")
 
 
-def diagonalize(theta, p: int, want_l: bool = False, eta=None,
-                panel: int = 96, *,
-                assume_canonical: bool = False) -> DiagonalizationResult:
+def diagonalize(theta, p: int, want_l: bool = False,
+                eta=None) -> DiagonalizationResult:
     """Full congruence diagonalization with panel-deferred updates.
 
     theta is a SymmetricEntries with values in [0, p), or a dense symmetric
@@ -148,7 +148,7 @@ def diagonalize(theta, p: int, want_l: bool = False, eta=None,
     oracle.split_step exactly (first nonzero diagonal entry, else row-major
     first off-diagonal fold), so the output matches
     oracle.diagonalize_reference entry for entry. The trailing matrix only
-    receives one flush per `panel` pivots; the running diagonal and the
+    receives one flush per PANEL pivots; the running diagonal and the
     current pivot row are patched from the panel buffers so pivot decisions
     never see stale values. Arithmetic stays exact: entries are integers
     carried in floats small enough to be exact, reduced mod p only when
@@ -157,10 +157,10 @@ def diagonalize(theta, p: int, want_l: bool = False, eta=None,
     eta, of shape (alpha,) or (alpha, m), is a set of right-hand sides: row i
     belongs to coordinate i and follows every column operation on Theta, so
     the result's mu = L^T eta keeps eta's shape. want_l appends the identity
-    as alpha more right-hand-side columns and returns L = (L^T I)^T.
-
-    assume_canonical certifies that a dense theta is already symmetric with
-    entries in [0, p), skipping one validation pass over the matrix.
+    as alpha more right-hand-side columns and returns L = (L^T I)^T. Each
+    column is transformed on its own, so the diagonal and mu are the same
+    with or without want_l; `--explain` relies on that to print L from the
+    same run that gives its answer.
 
     All elimination work is confined to a sliding window [t, hi): pivot t's
     update row vanishes at and beyond the running maximum hi of the per-row
@@ -175,19 +175,14 @@ def diagonalize(theta, p: int, want_l: bool = False, eta=None,
     if isinstance(theta, SymmetricEntries):
         S = theta
     else:
-        S = SymmetricEntries.from_dense(
-            np.asarray(theta) if assume_canonical else _as_symmetric(theta, p))
+        S = SymmetricEntries.from_dense(_as_symmetric(theta, p))
     alpha = S.size
     eta_shape = None if eta is None else np.shape(eta)
     if eta is not None and (len(eta_shape) not in (1, 2)
                             or eta_shape[0] != alpha):
         raise ValueError(f"eta must have {alpha} rows, got shape {eta_shape}")
-    if alpha == 0:
-        L = np.eye(0, dtype=np.int64) if want_l else None
-        mu = None if eta is None else np.zeros(eta_shape, dtype=np.int64)
-        return DiagonalizationResult(L, np.zeros(0, dtype=np.int64), 0, mu)
 
-    dtype = _pick_dtype(alpha, p, panel)
+    dtype = _pick_dtype(alpha, p)
     rows, cols, vals = S.rows, S.cols, S.vals.astype(dtype)
     # column c's entries are colptr[c]:colptr[c + 1]
     colptr = np.searchsorted(cols, np.arange(alpha + 1))
@@ -207,8 +202,8 @@ def diagonalize(theta, p: int, want_l: bool = False, eta=None,
     # the panel buffers share its columns, one row per pending pivot:
     # Vp[j] = wv_j, Wp[j] = row_j
     A = np.zeros((0, 0), dtype=dtype)
-    Vp = np.zeros((panel, 0), dtype=dtype)
-    Wp = np.zeros((panel, 0), dtype=dtype)
+    Vp = np.zeros((PANEL, 0), dtype=dtype)
+    Wp = np.zeros((PANEL, 0), dtype=dtype)
     base = top = 0
     # right-hand sides: eta's m columns, then the identity when L is wanted
     m = 0 if eta is None else (eta_shape[1] if len(eta_shape) == 2 else 1)
@@ -378,7 +373,7 @@ def diagonalize(theta, p: int, want_l: bool = False, eta=None,
         rhs[t + 1:hi] -= wv[:, None] * (rhs[t] % p)
         t += 1
         j += 1
-        if j == panel:
+        if j == PANEL:
             flush()
 
     rank = int(np.count_nonzero(lam))

@@ -5,12 +5,16 @@ import hashlib
 import json
 import shutil
 import subprocess
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import quopitsim.cli
+import quopitsim.evaluator
 from conftest import random_circuit
+from quopitsim import fields
 from quopitsim.circuit import serialize_circuit
 from quopitsim.cli import main
 
@@ -212,6 +216,28 @@ def test_explain_digest_random_circuit(capsys, circuit_file):
         "ddb6a400a94022bb53c3591ff4807b60dbfd9c0d3c64c8e0aa013a6649d733e2")
 
 
+@pytest.mark.parametrize("command", ["amp", "prob"])
+def test_explain_extracts_and_eliminates_once(capsys, circuit_file,
+                                              monkeypatch, command):
+    # the dump is the derivation of the printed answer, not a second run:
+    # every module that holds the functions quopitsim.cli calls is counted
+    calls = []
+    for name in ("phase_polynomial_direct", "diagonalize"):
+        original = getattr(quopitsim.cli, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        for module in (quopitsim.cli, quopitsim.evaluator):
+            if getattr(module, name) is original:
+                monkeypatch.setattr(module, name, counted)
+    path = circuit_file(FIG_TEXT)
+    code, _, _ = run(capsys, [command, "-c", path, "-a", "1,1,1",
+                              "-b", "1,1,1", "--explain"])
+    assert code == 0
+    assert sorted(calls) == ["diagonalize", "phase_polynomial_direct"]
+
+
 def test_output_is_deterministic(capsys, circuit_file):
     path = circuit_file(FIG_TEXT)
     runs = []
@@ -258,6 +284,30 @@ def test_modulus_beyond_exact_arithmetic_exits_one(capsys, circuit_file):
     assert code == 1
     assert out == ""
     assert err.startswith("error: p = 100000007 with alpha = 1 ")
+
+
+@pytest.mark.parametrize("p, code, stream, text", [
+    # prime: decided by Miller-Rabin, not by trial division up to 10^9
+    ("1000000000000000003", 0, "out",
+     "1000000000000000003^(-1/2) * i^0 * chi(35)\n0.000000+0.000000i\n"),
+    # 1000000007 * 1000000009
+    ("1000000016000000063", 1, "err",
+     "circuit error: line 1: modulus must be prime, "
+     "got 1000000016000000063\n"),
+    # the first prime above 2^63: refused, not an OverflowError traceback
+    ("9223372036854775837", 1, "err",
+     "circuit error: line 1: modulus must be below 2^63, "
+     "got 9223372036854775837\n"),
+], ids=["prime", "composite", "beyond-2^63"])
+def test_64_bit_moduli_are_decided_quickly(capsys, circuit_file, p, code,
+                                           stream, text):
+    fields._odd_prime.cache_clear()
+    path = circuit_file(f"p {p}\nn 1\nF 0\n")
+    start = time.perf_counter()
+    got, out, err = run(capsys, ["amp", "-c", path, "-a", "5", "-b", "7"])
+    assert time.perf_counter() - start < 1.0
+    assert got == code
+    assert {"out": out, "err": err}[stream] == text
 
 
 def test_unknown_command_exits_one(capsys):

@@ -34,6 +34,31 @@ def test_odd_prime_validates_once():
     assert fields._odd_prime.cache_info().currsize == 1
 
 
+@pytest.mark.parametrize("v, prime", [
+    (4294967311, True),            # the first prime above 2^32
+    (2305843009213693951, True),   # 2^61 - 1
+    (1000000000000000003, True),
+    (9223372036854775783, True),   # the largest prime below 2^63
+    (65537 * 65539, False),        # no factor below the trial limit
+    (1000000007 * 1000000009, False),
+    # a strong pseudoprime to every prime base up to 23
+    (3825123056546413051, False),
+])
+def test_odd_prime_above_trial_division(v, prime):
+    if prime:
+        assert OddPrime(v) == v
+    else:
+        with pytest.raises(ValueError, match=f"modulus must be prime, got {v}$"):
+            OddPrime(v)
+
+
+# both prime: the first above 2^63, and the Mersenne prime 2^89 - 1
+@pytest.mark.parametrize("v", [2 ** 63 + 29, 2 ** 89 - 1])
+def test_odd_prime_refuses_moduli_from_2_63(v):
+    with pytest.raises(ValueError, match="must be below 2\\^63"):
+        OddPrime(v)
+
+
 def test_inverse_mod_examples():
     assert inverse_mod(2, 5) == 3
     assert inverse_mod(2, 7) == 4

@@ -90,6 +90,16 @@ def test_dense_norm_violation_raises(monkeypatch):
         dense_state(c, (0,))
 
 
+def test_gate_arrays_built_once_per_modulus():
+    # the dense oracle looks them up on every gate, so each p's arrays are
+    # shared, and shared arrays must not be writable
+    for build in (chi_table, fourier_matrix, phase_vector):
+        arr = build(7)
+        assert build(7) is arr
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
 def test_dense_cap():
     c = make_circuit(7, 6, [Gate.fourier(r) for r in range(6)])
     with pytest.raises(CapExceeded):

@@ -117,21 +117,22 @@ def test_blocked_matches_reference():
             _assert_same(blocked, ref, eta, p)
 
 
-def test_blocked_small_panels():
+def test_blocked_small_panels(monkeypatch):
     # panel = 2 or 3 forces many flushes and exercises the interplay with
     # off-diagonal folds mid-panel
     rng = np.random.default_rng(41)
     for panel in (2, 3):
+        monkeypatch.setattr(quadform, "PANEL", panel)
         for _ in range(40):
             p = int(rng.choice(PRIMES))
             alpha = int(rng.integers(4, 11))
             A = random_symmetric(rng, alpha, p, hollow=bool(rng.integers(2)))
             eta = rng.integers(0, p, size=alpha)
-            blocked = diagonalize(A, p, want_l=True, eta=eta, panel=panel)
+            blocked = diagonalize(A, p, want_l=True, eta=eta)
             _assert_same(blocked, diagonalize_reference(A, p), eta, p)
 
 
-def test_blocked_banded_and_scattered():
+def test_blocked_banded_and_scattered(monkeypatch):
     # banded inputs keep the elimination window narrow, and scattered
     # supports force pivot rotations that jump past the window's edge
     rng = np.random.default_rng(59)
@@ -143,9 +144,10 @@ def test_blocked_banded_and_scattered():
         r, c = np.indices(A.shape)
         A[np.abs(r - c) > bw] = 0
         eta = rng.integers(0, p, size=alpha)
-        panel = int(rng.choice([3, 96]))
-        blocked = diagonalize(A, p, want_l=True, eta=eta, panel=panel)
+        monkeypatch.setattr(quadform, "PANEL", int(rng.choice([3, 96])))
+        blocked = diagonalize(A, p, want_l=True, eta=eta)
         _assert_same(blocked, diagonalize_reference(A, p), eta, p)
+    monkeypatch.undo()
     for _ in range(40):
         p = int(rng.choice(PRIMES))
         alpha = int(rng.integers(8, 30))
@@ -213,19 +215,20 @@ def test_sliding_window_matches_reference(p, A, monkeypatch):
     rng = np.random.default_rng(len(A))
     entries = SymmetricEntries.from_dense(A % p)
     for panel in (1, 2, 7, 96):
+        monkeypatch.setattr(quadform, "PANEL", panel)
         for eta in (rng.integers(0, p, size=len(A)),
                     rng.integers(0, p, size=(len(A), 2))):
-            _assert_same(diagonalize(A, p, want_l=True, eta=eta,
-                                     panel=panel), ref, eta, p)
+            _assert_same(diagonalize(A, p, want_l=True, eta=eta), ref, eta,
+                         p)
         eta = rng.integers(0, p, size=len(A))
-        sparse = diagonalize(entries, p, eta=eta, panel=panel)
+        sparse = diagonalize(entries, p, eta=eta)
         assert np.array_equal(sparse.diagonal, ref.diagonal)
         assert np.array_equal(sparse.mu, (ref.L.T @ eta) % p)
     # panel flushes split into many row blocks
     monkeypatch.setattr(quadform, "FLUSH_ROWS", 5)
     for panel in (7, 96):
-        _assert_same(diagonalize(A, p, want_l=True, eta=eta, panel=panel),
-                     ref, eta, p)
+        monkeypatch.setattr(quadform, "PANEL", panel)
+        _assert_same(diagonalize(A, p, want_l=True, eta=eta), ref, eta, p)
 
 
 def test_symmetric_entries_round_trip():
@@ -278,23 +281,8 @@ def test_diagonalize_validation():
                     eta=np.zeros(2, dtype=np.int64))
 
 
-def test_assume_canonical_agrees():
-    rng = np.random.default_rng(59)
-    for _ in range(30):
-        p = int(rng.choice(PRIMES))
-        alpha = int(rng.integers(1, 10))
-        A = random_symmetric(rng, alpha, p, hollow=bool(rng.integers(2)))
-        eta = rng.integers(0, p, size=alpha)
-        lax = diagonalize(A, p, want_l=True, eta=eta)
-        strict = diagonalize(A, p, want_l=True, eta=eta,
-                             assume_canonical=True)
-        assert np.array_equal(lax.diagonal, strict.diagonal)
-        assert np.array_equal(lax.L, strict.L)
-        assert np.array_equal(lax.mu, strict.mu)
-
-
 def test_refuses_modulus_beyond_float64():
-    # the lazy bound p + (alpha + panel)(p - 1)^2 is ~397 * 2^53 here, and
+    # the lazy bound p + (alpha + PANEL)(p - 1)^2 is ~397 * 2^53 here, and
     # float64 elimination of this matrix gives L^T A L != diag
     p, alpha = 100000007, 262
     rng = np.random.default_rng(0)
