@@ -97,7 +97,7 @@ def _explain(cn: Circuit, a, b):
     lines += render_labels(label_circuit(cn, a, b))
     lines.append(render_phase_polynomial(q))
     lines.append("Theta =")
-    lines += map(_vec, q.theta)
+    lines += map(_vec, q.theta_entries.dense_rows())
     lines.append(f"eta = {_vec(q.eta)}")
     lines.append(f"zeta = {q.zeta}")
     lines.append("L =")

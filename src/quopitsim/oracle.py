@@ -200,8 +200,10 @@ def split_step(A, p: int) -> tuple[np.ndarray, int, np.ndarray]:
     D[0, 1:] = (-ainv * b[1:]) % p
     P = (C @ D) % p
     # Polarization of the completed-square remainder q(y) = y^T G y restricted
-    # to y_0 = -a^(-1) * b[1:] . y[1:]: its coefficient matrix.
-    Q = (G[1:, 1:] - ainv * np.outer(b[1:], b[1:])) % p
+    # to y_0 = -a^(-1) * b[1:] . y[1:]: its coefficient matrix. a^(-1) b is
+    # reduced first, so no product exceeds p^2 and int64 stays exact up to
+    # every modulus the engine accepts.
+    Q = (G[1:, 1:] - np.outer(ainv * b[1:] % p, b[1:])) % p
     inv2 = inverse_mod(2, p)
     B = (inv2 * (Q + Q.T)) % p
     return P, a % p, B

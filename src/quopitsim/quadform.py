@@ -4,7 +4,7 @@ A symmetric matrix is held as its nonzeros: `SymmetricEntries` keeps the
 upper-triangle entries sorted by column. `diagonalize` computes L
 invertible with L^T A L = diag(lambda) by rank-1 updates deferred in panels
 of PANEL pivots, so the trailing matrix is touched O(alpha/PANEL) times
-instead of O(alpha) times. The panel width and the flush block height are
+instead of O(alpha) times. The panel width and the flush block size are
 module constants, not parameters. The one-peel-at-a-time ground truth,
 `oracle.diagonalize_reference`, composes `oracle.split_step` literally; the
 tests require the same L and the same diagonal, entry for entry.
@@ -20,6 +20,15 @@ entry beyond the loaded block is still an untouched entry of A; a
 coordinate's entries are loaded when the window, a rotation or a fold first
 reaches it, and finished coordinates are dropped from the block. Memory is
 O(nnz(A) + w^2) for a window of w coordinates.
+
+The block is symmetric, so only its upper triangle is kept current: loads
+write the entries on and above the diagonal, each panel flush updates a row
+block from its diagonal on, a rotation builds the moved rows from the
+triangle, and a fold adds row and column in it directly. Entries below the
+diagonal are stale and never read. Each pivot row, and the diagonal when
+the next pivot is sought, is reduced mod p through int64 rather than by a
+float mod; the casts are exact, since every value is an integer below 2^53
+in magnitude. Only a fold reduces the block itself, in place.
 
 `diagonalize` never forms L while it eliminates. It applies each column
 operation to a matrix of right-hand sides instead, so it returns
@@ -37,8 +46,8 @@ from .fields import inverse_mod
 
 # pivots per panel: the trailing block receives one flush per PANEL pivots
 PANEL = 96
-# rows per block of a panel flush; bounds its temporary at FLUSH_ROWS x window
-FLUSH_ROWS = 512
+# entries per row block of a panel flush; bounds its temporary
+FLUSH_ENTRIES = 1 << 20
 
 
 def _as_symmetric(A, p: int) -> np.ndarray:
@@ -88,6 +97,23 @@ class SymmetricEntries:
         keep = total != 0
         key = key[starts[keep]]
         return cls(size, key % size, key // size, total[keep])
+
+    def dense_rows(self):
+        """Yield the dense int64 rows in order through one reused buffer,
+        which each row overwrites: read a row before asking for the next.
+        The dense matrix is never built."""
+        off = self.rows != self.cols
+        r = np.concatenate((self.rows, self.cols[off]))
+        order = np.argsort(r, kind="stable")
+        c = np.concatenate((self.cols, self.rows[off]))[order]
+        v = np.concatenate((self.vals, self.vals[off]))[order]
+        ptr = np.searchsorted(r[order], np.arange(self.size + 1))
+        row = np.zeros(self.size, dtype=np.int64)
+        for i in range(self.size):
+            k = slice(ptr[i], ptr[i + 1])
+            row[c[k]] = v[k]
+            yield row
+            row[c[k]] = 0
 
     def __array__(self, dtype=None, copy=None):
         M = np.zeros((self.size, self.size), dtype=np.int64)
@@ -150,9 +176,12 @@ def diagonalize(theta, p: int, want_l: bool = False,
     oracle.diagonalize_reference entry for entry. The trailing matrix only
     receives one flush per PANEL pivots; the running diagonal and the
     current pivot row are patched from the panel buffers so pivot decisions
-    never see stale values. Arithmetic stays exact: entries are integers
-    carried in floats small enough to be exact, reduced mod p only when
-    read; a (p, alpha) too large for float64 raises ValueError.
+    never see stale values. Only the block's upper triangle is current;
+    nothing reads below its diagonal. Arithmetic stays exact: entries are
+    integers carried in floats small enough to be exact, reduced mod p only
+    when read (the pivot row and the diagonal scan through int64, the block
+    in place before a fold); a (p, alpha) too large for float64 raises
+    ValueError.
 
     eta, of shape (alpha,) or (alpha, m), is a set of right-hand sides: row i
     belongs to coordinate i and follows every column operation on Theta, so
@@ -255,27 +284,35 @@ def diagonalize(theta, p: int, want_l: bool = False,
                 for P in (Vp, Wp):
                     P[:j, :live] = P[:j, shift:shift + live]
             base = t
+        # only the new columns' upper triangle: every loaded entry sits
+        # above the diagonal, since pos[r] < top <= c or pos[r] = r <= c
         old, new = top - base, end - base
-        A[old:new, t - base:new] = 0
-        A[t - base:old, old:new] = 0
+        A[t - base:new, old:new] = 0
         Vp[:j, old:new] = 0
         Wp[:j, old:new] = 0
         s0, s1 = colptr[top], colptr[end]
-        r = pos[rows[s0:s1]] - base
-        c = cols[s0:s1] - base
-        A[r, c] = vals[s0:s1]
-        A[c, r] = vals[s0:s1]
+        A[pos[rows[s0:s1]] - base, cols[s0:s1] - base] = vals[s0:s1]
         top = end
 
+    def row_blocks(end: int):
+        # the block's rows from t to end, in blocks that hold about
+        # FLUSH_ENTRIES entries from their diagonal on: taller as the
+        # triangle narrows, and one block for a narrow window
+        r0 = t - base
+        while r0 < end:
+            r1 = min(end, r0 + max(1, FLUSH_ENTRIES // (end - r0)))
+            yield r0, r1
+            r0 = r1
+
     def flush():
-        # one block of rows at a time keeps the temporary FLUSH_ROWS x window
+        # each row block is updated from its diagonal on, so only the upper
+        # triangle (and the lower half of the blocks' diagonal squares) moves
         nonlocal j
         if j:
-            lo, end = t - base, hi - base
-            for r0 in range(lo, end, FLUSH_ROWS):
-                r1 = min(r0 + FLUSH_ROWS, end)
-                block = A[r0:r1, lo:end]
-                np.subtract(block, Vp[:j, r0:r1].T @ Wp[:j, lo:end],
+            end = hi - base
+            for r0, r1 in row_blocks(end):
+                block = A[r0:r1, r0:end]
+                np.subtract(block, Vp[:j, r0:r1].T @ Wp[:j, r0:end],
                             out=block)
             j = 0
 
@@ -290,12 +327,14 @@ def diagonalize(theta, p: int, want_l: bool = False,
         perm = np.concatenate(([q], np.arange(t, q)))
         k = perm - base
         rot = slice(t - base, q + 1 - base)
-        rest = slice(q + 1 - base, top - base)
-        A[rot, t - base:top - base] = A[k, t - base:top - base]
-        A[rot, rot] = A[rot, k]
-        # the block is symmetric mod p, so the moved columns are the moved
-        # rows transposed, which spares a strided gather down the block
-        A[rest, rot] = A[rot, rest].T
+        A[rot, q + 1 - base:top - base] = A[k, q + 1 - base:top - base]
+        # inside the moved range, position t takes q's row, which left of
+        # q is column q above the diagonal; every other position takes the
+        # row before it, so the rest of the triangle shifts down the diagonal
+        head = np.roll(A[rot, q - base], 1)
+        A[t + 1 - base:q + 1 - base, t + 1 - base:q + 1 - base] = \
+            A[t - base:q - base, t - base:q - base]
+        A[t - base, rot] = head
         d[t:q + 1] = d[perm]
         ext[t:q + 1] = ext[perm]
         np.maximum(ext[t:q + 1], q + 1, out=ext[t:q + 1])
@@ -306,15 +345,23 @@ def diagonalize(theta, p: int, want_l: bool = False,
         orig[t:q + 1] = orig[perm]
         pos[orig[t:q + 1]] = np.arange(t, q + 1)
 
-    def first_nonzero():
-        # row-major first nonzero of the trailing matrix: in the reduced
-        # block, or among the untouched entries of columns top and on
-        blk = A[t - base:top - base, t - base:top - base]
+    def reduce_and_find():
+        # reduce the block's upper triangle mod p and return the row-major
+        # first nonzero of the trailing matrix. A symmetric matrix's first
+        # nonzero row has no nonzero left of its diagonal, so it is the
+        # upper triangle's first nonzero row, in the block or among the
+        # untouched entries of columns top and on
         found = None
-        live = np.flatnonzero(blk.any(axis=1))
-        if live.size:
-            r = int(live[0])
-            found = (t + r, t + int(np.flatnonzero(blk[r])[0]))
+        end = top - base
+        for r0, r1 in row_blocks(end):
+            block = A[r0:r1, r0:end]
+            np.mod(block, p, out=block)
+            if found is None:
+                live = np.flatnonzero(np.triu(block).any(axis=1))
+                if live.size:
+                    r = int(live[0])
+                    c = r + int(np.flatnonzero(block[r, r:])[0])
+                    found = (base + r0 + r, base + r0 + c)
         s0 = colptr[top]
         if s0 < len(rows):
             r, c = pos[rows[s0:]], cols[s0:]
@@ -324,9 +371,9 @@ def diagonalize(theta, p: int, want_l: bool = False,
         return found
 
     while t < alpha:
-        hits = np.flatnonzero(np.mod(d[t:t + 64], p))
+        hits = np.flatnonzero(d[t:t + 64].astype(np.int64) % p)
         if not hits.size and t + 64 < alpha:
-            hits = np.flatnonzero(np.mod(d[t + 64:], p))
+            hits = np.flatnonzero(d[t + 64:].astype(np.int64) % p)
             if hits.size:
                 hits = hits + 64
         if hits.size:
@@ -336,17 +383,21 @@ def diagonalize(theta, p: int, want_l: bool = False,
             # off-diagonal pivot to fold in; its rows' supports end by
             # ext[I] and ext[J], so only that far is loaded
             flush()
-            blk = A[t - base:top - base, t - base:top - base]
-            np.mod(blk, p, out=blk)
-            found = first_nonzero()
+            found = reduce_and_find()
             if found is None:
                 break  # remaining coordinates never enter the form
             I, J = found
             load(max(int(ext[I]), int(ext[J])))
-            blk = slice(t - base, top - base)
-            A[blk, I - base] += A[blk, J - base]
-            A[I - base, blk] += A[J - base, blk]
-            d[t:top] = A[blk, blk].diagonal()
+            # x_I' = x_I + x_J on the upper triangle, with I < J: column I
+            # above the diagonal, then row I, whose partner row J left of
+            # its diagonal is column J. A[I, I] and A[J, J] are zero, since
+            # the diagonal is exhausted
+            i, jj, lo, end = I - base, J - base, t - base, top - base
+            A[i, i] = 2 * A[i, jj]
+            A[lo:i, i] += A[lo:i, jj]
+            A[i, i + 1:jj] += A[i + 1:jj, jj]
+            A[i, jj:end] += A[jj, jj:end]
+            d[t:top] = A[lo:end, lo:end].diagonal()
             ext[I] = max(int(ext[I]), int(ext[J]), hi)
             rhs[I] = rhs[I] % p + rhs[J] % p
             rotate_to_front(I)
@@ -357,12 +408,14 @@ def diagonalize(theta, p: int, want_l: bool = False,
         a = int(d[t]) % p
         lam[t] = a
         ainv = inverse_mod(a, p)
-        row = A[t - o, t + 1 - o:hi - o].copy()
+        row = A[t - o, t + 1 - o:hi - o]
         if j:
-            row -= Vp[:j, t - o] @ Wp[:j, t + 1 - o:hi - o]
-        np.mod(row, p, out=row)
-        wv = ainv * row
-        np.mod(wv, p, out=wv)
+            row = row - Vp[:j, t - o] @ Wp[:j, t + 1 - o:hi - o]
+        # reduced through int64, exact for these integers below 2^53 and
+        # much cheaper than a float mod
+        ri = row.astype(np.int64) % p
+        row = ri.astype(dtype)
+        wv = (ri * ainv % p).astype(dtype)
         d[t + 1:hi] -= wv * row
         Vp[j, t + 1 - o:hi - o] = wv
         Wp[j, t + 1 - o:hi - o] = row

@@ -194,17 +194,21 @@ def _block_diagonal_hollow_tail(rng, p: int, sizes, hollow_from: int,
 
 def _sliding_window_inputs():
     rng = np.random.default_rng(83)
-    yield 5, _banded_with_zero_stretches(rng, 5, 160)
-    yield 3, _block_diagonal_hollow_tail(rng, 3, (30, 25, 20, 20, 15, 15),
-                                         hollow_from=2, gap=12)
-    # both at once: a banded head with a zero stretch, then hollow blocks
-    head = _banded_with_zero_stretches(rng, 7, 150)[:100, :100]
-    tail = _block_diagonal_hollow_tail(rng, 7, (12, 10, 8), hollow_from=0,
-                                       gap=9)
-    A = np.zeros((100 + 9 + len(tail),) * 2, dtype=np.int64)
-    A[:100, :100] = head
-    A[109:, 109:] = tail
-    yield 7, A
+    # the small primes run on float32, 10007 and 65537 on float64
+    for p0, p1, p2 in ((5, 3, 7), (10007,) * 3, (65537,) * 3):
+        yield p0, _banded_with_zero_stretches(rng, p0, 160)
+        yield p1, _block_diagonal_hollow_tail(rng, p1,
+                                              (30, 25, 20, 20, 15, 15),
+                                              hollow_from=2, gap=12)
+        # both at once: a banded head with a zero stretch, then hollow
+        # blocks
+        head = _banded_with_zero_stretches(rng, p2, 150)[:100, :100]
+        tail = _block_diagonal_hollow_tail(rng, p2, (12, 10, 8),
+                                           hollow_from=0, gap=9)
+        A = np.zeros((100 + 9 + len(tail),) * 2, dtype=np.int64)
+        A[:100, :100] = head
+        A[109:, 109:] = tail
+        yield p2, A
 
 
 @pytest.mark.parametrize("p, A", list(_sliding_window_inputs()))
@@ -224,11 +228,35 @@ def test_sliding_window_matches_reference(p, A, monkeypatch):
         sparse = diagonalize(entries, p, eta=eta)
         assert np.array_equal(sparse.diagonal, ref.diagonal)
         assert np.array_equal(sparse.mu, (ref.L.T @ eta) % p)
-    # panel flushes split into many row blocks
-    monkeypatch.setattr(quadform, "FLUSH_ROWS", 5)
+    # panel flushes split into many row blocks, of one row where the window
+    # is widest
+    monkeypatch.setattr(quadform, "FLUSH_ENTRIES", 100)
     for panel in (7, 96):
         monkeypatch.setattr(quadform, "PANEL", panel)
         _assert_same(diagonalize(A, p, want_l=True, eta=eta), ref, eta, p)
+
+
+@pytest.mark.parametrize("p, next_p, alpha, dtype", [
+    (409, 419, 4, np.float32), (9538433, 9538447, 3, np.float64)])
+def test_exact_at_the_edge_of_each_dtype(p, next_p, alpha, dtype):
+    # p is the largest prime that gets this float type at this alpha: the
+    # next prime gets another type or is refused
+    assert quadform._pick_dtype(alpha, p) is dtype
+    try:
+        next_dtype = quadform._pick_dtype(alpha, next_p)
+    except ValueError:
+        next_dtype = None
+    assert next_dtype is not dtype
+    rng = np.random.default_rng(p)
+    eta = np.full(alpha, p - 1)
+    for A in (np.full((alpha, alpha), p - 1),
+              random_symmetric(rng, alpha, p, hollow=True)):
+        res = diagonalize(A, p, want_l=True, eta=eta)
+        _assert_same(res, diagonalize_reference(A, p), eta, p)
+        # and in Python integers, independent of the reference
+        L = res.L.astype(object)
+        assert np.array_equal((L.T @ A.astype(object) @ L) % p,
+                              np.diag(res.diagonal))
 
 
 def test_symmetric_entries_round_trip():
@@ -237,6 +265,7 @@ def test_symmetric_entries_round_trip():
     A[3] = A[:, 3] = 0
     S = SymmetricEntries.from_dense(A)
     assert np.array_equal(np.asarray(S), A)
+    assert np.array_equal([row.copy() for row in S.dense_rows()], A)
     assert np.all(S.rows <= S.cols) and S.vals.all()
     # sorted by column, then row
     assert np.all(np.diff(S.cols * 9 + S.rows) > 0)
