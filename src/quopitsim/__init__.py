@@ -6,8 +6,7 @@ from .circuit import (CapExceeded, Circuit, CircuitParseError, Gate,
                       serialize_circuit)
 from .evaluator import (AmplitudeReport, amplitude, amplitude_table,
                         balance_weight, probability, weil_sum)
-from .fields import (ExactScalar, FieldElement, OddPrime, inverse_mod,
-                     legendre, parse_exact_scalar)
+from .fields import ExactScalar, FieldElement, OddPrime, inverse_mod, legendre
 from .oracle import (brute_force_path_sum, dense_amplitude, dense_state,
                      diagonalize_reference, extract_phase_polynomial, gf_rank,
                      split_step)
@@ -26,7 +25,7 @@ __all__ = [
     "classify_fourier_gates", "dense_amplitude", "dense_state", "diagonalize",
     "diagonalize_reference", "extract_phase_polynomial", "gf_rank",
     "inverse_mod", "label_circuit", "legendre", "make_circuit",
-    "normalize_to_standard_form", "parse_circuit", "parse_exact_scalar",
+    "normalize_to_standard_form", "parse_circuit",
     "phase_polynomial_direct", "probability", "serialize_circuit",
     "split_step", "weil_sum",
 ]

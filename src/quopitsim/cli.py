@@ -59,6 +59,13 @@ def _vec(v: np.ndarray) -> str:
     return "[" + " ".join(map(str, v.tolist())) + "]"
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected at least 1, got {value}")
+    return value
+
+
 def _load_circuit(path: str) -> Circuit:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -235,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("table", cmd_table, "amplitudes for every outcome b", wants_a=True)
     add("weight", cmd_weight, "balancedness weight and rank")
     sp = add("check", cmd_check, "compare against brute-force oracles")
-    sp.add_argument("--trials", type=int, default=20, metavar="T",
+    sp.add_argument("--trials", type=positive_int, default=20, metavar="T",
                     help="random transitions to test (default 20)")
     sp.add_argument("--seed", type=int, default=0, metavar="S",
                     help="PRNG seed (default 0)")

@@ -1,4 +1,5 @@
-"""Exact arithmetic over F_p and the scalar algebra amplitudes live in.
+"""Odd-prime moduli, residue helpers and the exact scalars amplitudes
+live in.
 
 Amplitudes of quopit Clifford circuits are always of the form
 p^(k/2) * i^q * chi(c) with chi(c) = exp(2*pi*i*c/p), or exactly zero.
@@ -8,7 +9,7 @@ from __future__ import annotations
 
 import cmath
 import functools
-import re
+import operator
 
 
 @functools.lru_cache(maxsize=256)
@@ -56,58 +57,21 @@ def inverse_mod(x: int, p: int) -> int:
 
 
 class FieldElement:
-    """A residue modulo an odd prime, with field arithmetic."""
+    """A residue modulo an odd prime: the record `ExactScalar.p_phase`
+    returns. The residue must be an integer (anything `operator.index`
+    accepts); it is stored reduced into [0, p)."""
 
     __slots__ = ("residue", "modulus")
 
     def __init__(self, residue: int, modulus: int):
         p = modulus if isinstance(modulus, OddPrime) else OddPrime(modulus)
-        self.residue = int(residue) % p
+        self.residue = operator.index(residue) % p
         self.modulus = p
 
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.modulus != self.modulus:
-                raise ValueError(f"modulus mismatch: {self.modulus} vs {other.modulus}")
-            return other
-        return FieldElement(other, self.modulus)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return FieldElement(self.residue + o.residue, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return FieldElement(self.residue - o.residue, self.modulus)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return FieldElement(self.residue * o.residue, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElement(-self.residue, self.modulus)
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        return FieldElement(pow(self.residue, exponent, self.modulus), self.modulus)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(inverse_mod(self.residue, self.modulus), self.modulus)
-
     def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.residue == other.residue and self.modulus == other.modulus
-        if isinstance(other, int):
-            return self.residue == other % self.modulus
-        return NotImplemented
+        if not isinstance(other, FieldElement):
+            return NotImplemented
+        return self.residue == other.residue and self.modulus == other.modulus
 
     def __hash__(self):
         return hash((self.residue, self.modulus))
@@ -119,17 +83,12 @@ class FieldElement:
         return f"FieldElement({self.residue}, mod {self.modulus})"
 
 
-def legendre(x, p: int | None = None) -> int:
+def legendre(x: int, p: int) -> int:
     """Legendre symbol: 0 at zero, +1 for nonzero squares, -1 otherwise.
 
     Euler's criterion x^((p-1)/2) mod p via fast modular exponentiation.
     """
-    if isinstance(x, FieldElement):
-        residue, p = x.residue, x.modulus
-    else:
-        if p is None:
-            raise TypeError("legendre needs a modulus for a plain integer")
-        residue = int(x) % p
+    residue = int(x) % p
     if residue == 0:
         return 0
     e = pow(residue, (p - 1) // 2, p)
@@ -150,29 +109,19 @@ class ExactScalar:
     __slots__ = ("is_zero", "sqrtp_exponent", "quarter_turns", "p_phase", "modulus")
 
     def __init__(self, modulus, sqrtp_exponent: int = 0, quarter_turns: int = 0,
-                 p_phase=0, is_zero: bool = False):
+                 p_phase: int = 0, is_zero: bool = False):
         p = modulus if isinstance(modulus, OddPrime) else OddPrime(modulus)
         self.modulus = p
         self.is_zero = bool(is_zero)
         if self.is_zero:
-            self.sqrtp_exponent = 0
-            self.quarter_turns = 0
-            self.p_phase = FieldElement(0, p)
-        else:
-            self.sqrtp_exponent = int(sqrtp_exponent)
-            self.quarter_turns = int(quarter_turns) % 4
-            self.p_phase = p_phase if isinstance(p_phase, FieldElement) \
-                else FieldElement(p_phase, p)
-            if self.p_phase.modulus != p:
-                raise ValueError("p_phase modulus mismatch")
+            sqrtp_exponent = quarter_turns = p_phase = 0
+        self.sqrtp_exponent = int(sqrtp_exponent)
+        self.quarter_turns = int(quarter_turns) % 4
+        self.p_phase = FieldElement(p_phase, p)
 
     @classmethod
     def zero(cls, modulus) -> "ExactScalar":
         return cls(modulus, is_zero=True)
-
-    @classmethod
-    def one(cls, modulus) -> "ExactScalar":
-        return cls(modulus)
 
     def __mul__(self, other: "ExactScalar") -> "ExactScalar":
         if not isinstance(other, ExactScalar):
@@ -185,7 +134,7 @@ class ExactScalar:
             self.modulus,
             self.sqrtp_exponent + other.sqrtp_exponent,
             self.quarter_turns + other.quarter_turns,
-            self.p_phase + other.p_phase,
+            self.p_phase.residue + other.p_phase.residue,
         )
 
     def to_complex(self) -> complex:
@@ -225,26 +174,3 @@ class ExactScalar:
 
     def __repr__(self):
         return f"ExactScalar({self.render()})"
-
-
-_SCALAR_RE = re.compile(
-    r"^\s*(\d+)\^\((-?\d+)/2\) \* i\^(\d+) \* chi\((\d+)\)\s*$")
-
-
-def parse_exact_scalar(text: str, modulus=None) -> ExactScalar:
-    """Parse the render() form back into an ExactScalar.
-
-    `0` needs the modulus supplied by the caller; a nonzero form carries its
-    own p (checked against `modulus` when both are present).
-    """
-    if text.strip() == "0":
-        if modulus is None:
-            raise ValueError("parsing `0` needs an explicit modulus")
-        return ExactScalar.zero(modulus)
-    m = _SCALAR_RE.match(text)
-    if m is None:
-        raise ValueError(f"not an exact scalar: {text!r}")
-    p, k, q, c = (int(g) for g in m.groups())
-    if modulus is not None and int(modulus) != p:
-        raise ValueError(f"scalar modulus {p} does not match expected {modulus}")
-    return ExactScalar(p, k, q, c)

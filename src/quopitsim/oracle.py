@@ -24,6 +24,8 @@ from .pathsum import AffineForm, LabeledCircuit, QuadraticForm
 from .quadform import DiagonalizationResult, _as_symmetric
 
 DENSE_DIM_CAP = 10_000
+# entries of the dense p x p Fourier gate: 16 MB of complex128
+DENSE_GATE_CAP = 1 << 20
 PATH_ENUM_CAP = 1_000_000
 
 
@@ -41,8 +43,8 @@ def chi_table(p: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def fourier_matrix(p: int) -> np.ndarray:
-    s, t = np.meshgrid(np.arange(p), np.arange(p), indexing="ij")
-    return _read_only(chi_table(p)[(s * t) % p] / np.sqrt(p))
+    t = np.arange(p)
+    return _read_only(chi_table(p)[np.multiply.outer(t, t) % p] / np.sqrt(p))
 
 
 @functools.lru_cache(maxsize=16)
@@ -81,6 +83,8 @@ def dense_state(c: Circuit, a) -> np.ndarray:
     p, n = int(c.modulus), c.n
     if p ** n > DENSE_DIM_CAP:
         raise CapExceeded(f"dense dimension p^n = {p ** n} exceeds {DENSE_DIM_CAP}")
+    if p * p > DENSE_GATE_CAP:
+        raise CapExceeded(f"dense gate size p^2 = {p * p} exceeds {DENSE_GATE_CAP}")
     if len(a) != n:
         raise ValueError(f"input tuple has length {len(a)}, expected {n}")
     state = np.zeros((p,) * n, dtype=complex)

@@ -91,10 +91,6 @@ class AffineForm:
         return AffineForm.build(self.modulus,
                                 self.constant + other.constant, merged)
 
-    def scale(self, factor: int) -> "AffineForm":
-        return AffineForm.build(self.modulus, self.constant * factor,
-                                ((v, c * factor) for v, c in self.coeffs))
-
     def render(self) -> str:
         parts = [_term(c, variable_name(v)) for v, c in self.coeffs]
         return _render_sum(parts, self.constant)
@@ -280,10 +276,13 @@ def _theta_entries(alpha: int, p: int, inv2: int, squares,
                    crosses) -> SymmetricEntries:
     """Coalesce the extractor's Theta terms into upper-triangle entries.
 
-    A Fourier gate's terms are the only ones in its variable's column. The
-    square terms are expanded and coalesced about TERM_BATCH at a time, and
-    the batches are merged whenever they outgrow what has been merged so
-    far, so the temporaries stay within a small multiple of nnz(Theta)."""
+    The Fourier gates' cross terms are coalesced first. Square terms can
+    land on the same positions (in `F 0, SUM 0 1, F 1, SUM 0 1, R 1` the
+    cross term of `F 1` and the square of `R 1` both reach (x1, x2)), and
+    every merge coalesces them. The square terms are expanded and coalesced
+    about TERM_BATCH at a time, and the batches are merged whenever they
+    outgrow what has been merged so far, so the temporaries stay within a
+    small multiple of nnz(Theta)."""
     empty = np.zeros(0, dtype=np.int64)
     support = [s for s, _, _ in crosses]
     merged = SymmetricEntries.coalesce(
@@ -332,8 +331,9 @@ def phase_polynomial_direct(c: Circuit, a, b) -> QuadraticForm:
     """Streaming equivalent of label_circuit + oracle.extract_phase_polynomial.
 
     Keeps one dense coefficient row per register (constant followed by the
-    alpha path-variable coefficients) and folds each gate's term into the
-    accumulators on the fly; the outcome b is folded in once after the pass.
+    alpha path-variable coefficients), folds eta and zeta in during the
+    pass, and keeps each gate's Theta term, coalesced into entries after
+    the pass; the outcome b is folded in once at the end.
     Identical output to the reference pair; built for large circuits where
     per-gate label objects would dominate.
     """

@@ -144,6 +144,28 @@ def test_check_skips_enumeration_when_too_large(capsys, circuit_file):
     assert lines[2] == "path_sum oracle skipped (p^alpha = 1594323 > 1000000)"
 
 
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_check_refuses_no_trials(capsys, circuit_file, trials):
+    # no trial compares nothing, so there is no deviation to report
+    path = circuit_file(FIG_TEXT)
+    code, out, err = run(capsys, ["check", "-c", path, "--trials", trials])
+    assert (code, out) == (1, "")
+    assert err == ("quopitsim check: argument --trials: expected at least 1, "
+                   f"got {trials}\n")
+    code, out, _ = run(capsys, ["check", "-c", path, "--trials", "1"])
+    assert code == 0
+    assert out.startswith("p = 3, n = 3, alpha = 3, trials = 1, seed = 0\n")
+
+
+def test_check_dense_gate_cap_exits_two(capsys, circuit_file):
+    # p^n = 1031 fits the dense dimension cap; the 1031 x 1031 gate does not
+    path = circuit_file("p 1031\nn 1\nF 0\n")
+    code, out, err = run(capsys, ["check", "-c", path, "--trials", "1"])
+    assert (code, out) == (2, "")
+    assert err == ("cap exceeded: dense gate size p^2 = 1062961 exceeds "
+                   "1048576\n")
+
+
 def test_explain_dump(capsys, circuit_file):
     path = circuit_file(FIG_TEXT)
     code, out, _ = run(capsys, ["amp", "-c", path, "-a", "1,1,1",

@@ -1,11 +1,14 @@
 """Layering: the production modules never import the references in
-`oracle`, and the CLI takes S(x) from the streaming extractor."""
+`oracle`, the CLI takes S(x) from the streaming extractor, and the public
+names are pinned."""
 from __future__ import annotations
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import quopitsim
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "quopitsim"
 PRODUCTION = ("circuit", "fields", "pathsum", "quadform", "evaluator")
@@ -62,3 +65,27 @@ def test_no_scipy_import(path):
             continue
         assert not any(n.split(".")[0] == "scipy" for n in names), \
             f"{path.name} line {node.lineno}"
+
+
+# a change to the public names shows up as a diff of this list
+PUBLIC_NAMES = [
+    "AffineForm", "AmplitudeReport", "CapExceeded", "Circuit",
+    "CircuitParseError", "DiagonalizationResult", "ExactScalar",
+    "FieldElement", "Gate", "LabeledCircuit", "OddPrime", "QuadraticForm",
+    "SymmetricEntries", "amplitude", "amplitude_table", "balance_weight",
+    "brute_force_path_sum", "classify_fourier_gates", "dense_amplitude",
+    "dense_state", "diagonalize", "diagonalize_reference",
+    "extract_phase_polynomial", "gf_rank", "inverse_mod", "label_circuit",
+    "legendre", "make_circuit", "normalize_to_standard_form",
+    "parse_circuit", "phase_polynomial_direct", "probability",
+    "serialize_circuit", "split_step", "weil_sum",
+]
+
+
+def test_public_names():
+    assert sorted(quopitsim.__all__) == PUBLIC_NAMES
+    namespace = {}
+    exec("from quopitsim import *", namespace)
+    for name in PUBLIC_NAMES:
+        assert not name.startswith("_")
+        assert namespace[name] is getattr(quopitsim, name)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,6 +105,23 @@ def test_dense_cap():
     c = make_circuit(7, 6, [Gate.fourier(r) for r in range(6)])
     with pytest.raises(CapExceeded):
         dense_state(c, (0,) * 6)
+
+
+def test_dense_gate_cap_refuses_before_building():
+    # an n = 1 circuit passes the dimension cap at any p below 10^4, but its
+    # p x p Fourier gate would not: p = 1031 is refused without allocating
+    c = make_circuit(1031, 1, [Gate.fourier(0)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="p\\^2 = 1062961"):
+            dense_state(c, (0,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    # 1021^2 is below the cap (a phase gate alone builds no p x p gate)
+    c = make_circuit(1021, 1, [Gate.phase(0)])
+    assert dense_state(c, (5,)).shape == (1021,)
 
 
 def test_dense_tuple_length_checked():
