@@ -29,20 +29,26 @@ class CapExceeded(Exception):
 
 @dataclass(frozen=True)
 class Gate:
+    """One gate: its kind, F, R or SUM, and its register indices.
+
+    Gate owns the rules of a single gate, for the parser and for library
+    callers alike: a known kind, one register for F and R and two for SUM,
+    and distinct SUM registers. Whether an index names a register of the
+    circuit is `make_circuit`'s rule.
+    """
+
     kind: str
     registers: tuple[int, ...]
 
     def __post_init__(self):
-        if self.kind in (FOURIER, PHASE):
-            if len(self.registers) != 1:
-                raise CircuitParseError(f"{self.kind} acts on exactly one register")
-        elif self.kind == SUM:
-            if len(self.registers) != 2:
-                raise CircuitParseError("SUM acts on exactly two registers")
-            if self.registers[0] == self.registers[1]:
-                raise CircuitParseError("SUM control and target must differ")
-        else:
-            raise CircuitParseError(f"unknown gate kind {self.kind!r}")
+        if self.kind not in (FOURIER, PHASE, SUM):
+            raise CircuitParseError(f"unknown directive {self.kind!r}")
+        count = 2 if self.kind == SUM else 1
+        if len(self.registers) != count:
+            raise CircuitParseError(f"{self.kind} expects {count} "
+                                    f"argument(s), got {len(self.registers)}")
+        if count == 2 and self.registers[0] == self.registers[1]:
+            raise CircuitParseError("SUM control and target must differ")
 
     @classmethod
     def fourier(cls, register: int) -> "Gate":
@@ -87,74 +93,80 @@ def _last_gate_per_register(n: int, gates) -> list[int | None]:
     return last
 
 
-def make_circuit(p, n: int, gates) -> Circuit:
-    """Validate and build a Circuit, computing its standard_form flag."""
-    modulus = p if isinstance(p, OddPrime) else OddPrime(p)
-    if n < 1:
-        raise CircuitParseError(f"register count must be >= 1, got {n}")
-    gates = tuple(gates)
+def _check_registers(gates, n: int) -> None:
+    """The register-range rule, shared by `make_circuit` and the parser:
+    every index of every gate names one of the n registers."""
     for g in gates:
         for r in g.registers:
             if not 0 <= r < n:
                 raise CircuitParseError(
                     f"register index {r} out of range for n={n}")
+
+
+def make_circuit(p, n: int, gates) -> Circuit:
+    """Build a Circuit and compute its standard_form flag.
+
+    make_circuit owns the rules of a whole circuit: an odd prime modulus
+    (through `OddPrime`), at least one register, and every register index
+    in range (`_check_registers`). Each gate's own rules are `Gate`'s.
+    """
+    modulus = p if isinstance(p, OddPrime) else OddPrime(p)
+    if n < 1:
+        raise CircuitParseError(f"register count must be >= 1, got {n}")
+    gates = tuple(gates)
+    _check_registers(gates, n)
     last = _last_gate_per_register(n, gates)
     standard = all(i is not None and gates[i].kind == FOURIER for i in last)
     return Circuit(modulus, n, gates, standard)
 
 
 def parse_circuit(text: str) -> Circuit:
-    """Parse circuit text; errors carry 1-based line numbers."""
-    p = None
-    n = None
+    """Parse circuit text; every error begins `line N: `.
+
+    The parser owns only the syntax: comments and blank lines, the `p` and
+    `n` header lines first and in that order, one integer per header line
+    and integer gate arguments. Every other rule is checked where library
+    callers meet it too: the modulus by `OddPrime`, the register count by
+    `make_circuit`, each gate by `Gate` and its indices by
+    `_check_registers`. What they raise is raised again with the line
+    number of the offending line; a missing header line is reported at the
+    line after the last.
+    """
+    p = n = None
     gates: list[Gate] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        tokens = line.split()
-
-        def fail(msg: str):
-            raise CircuitParseError(f"line {lineno}: {msg}")
-
-        def int_args(count: int) -> list[int]:
-            if len(tokens) != count + 1:
-                fail(f"{tokens[0]} expects {count} argument(s), got {len(tokens) - 1}")
+        key, *tokens = line.split()
+        try:
+            if n is None and key != ("p" if p is None else "n"):
+                raise CircuitParseError(
+                    "first line must be `p <odd prime>`" if p is None
+                    else "second line must be `n <registers>`")
             try:
-                return [int(t) for t in tokens[1:]]
+                args = tuple(map(int, tokens))
             except ValueError:
-                fail(f"non-integer argument in {line!r}")
-
-        key = tokens[0]
-        if p is None:
-            if key != "p":
-                fail("first line must be `p <odd prime>`")
-            (value,) = int_args(1)
-            try:
-                p = OddPrime(value)
-            except ValueError as exc:
-                fail(str(exc))
-        elif n is None:
-            if key != "n":
-                fail("second line must be `n <registers>`")
-            (n,) = int_args(1)
-            if n < 1:
-                fail(f"register count must be >= 1, got {n}")
-        elif key == FOURIER:
-            (r,) = int_args(1)
-            gates.append(Gate.fourier(r))
-        elif key == PHASE:
-            (r,) = int_args(1)
-            gates.append(Gate.phase(r))
-        elif key == SUM:
-            c, t = int_args(2)
-            if c == t:
-                fail("SUM control and target must differ")
-            gates.append(Gate.sum(c, t))
-        else:
-            fail(f"unknown directive {key!r}")
-    if p is None or n is None:
-        raise CircuitParseError("missing `p` or `n` header line")
+                raise CircuitParseError(
+                    f"non-integer argument in {line!r}") from None
+            if n is not None:
+                gate = Gate(key, args)
+                _check_registers((gate,), n)
+                gates.append(gate)
+            elif len(args) != 1:
+                raise CircuitParseError(
+                    f"{key} expects 1 argument(s), got {len(args)}")
+            elif p is None:
+                p = OddPrime(args[0])
+            else:
+                # the register-count rule is make_circuit's
+                n = make_circuit(p, args[0], ()).n
+        except ValueError as exc:
+            raise CircuitParseError(f"line {lineno}: {exc}") from exc
+    if n is None:
+        raise CircuitParseError(f"line {len(lines) + 1}: missing "
+                                f"`{'p' if p is None else 'n'}` header line")
     return make_circuit(p, n, gates)
 
 

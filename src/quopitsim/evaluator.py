@@ -55,8 +55,9 @@ def weil_sum(lam: int, mu: int, p: int) -> ExactScalar:
     lam = mu = 0 gives p; lam = 0 with mu != 0 gives 0; for lam != 0 the
     value is i^eps(p) * (lam/p) * sqrt(p) * chi(-4^(-1)*lam^(-1)*mu^2).
     """
-    lam %= p
-    mu %= p
+    # as Python ints: numpy integers would wrap in mu * mu below
+    lam = int(lam) % p
+    mu = int(mu) % p
     if lam == 0:
         if mu == 0:
             return ExactScalar(p, sqrtp_exponent=2)

@@ -18,7 +18,7 @@ import functools
 
 import numpy as np
 
-from .circuit import FOURIER, PHASE, SUM, CapExceeded, Circuit
+from .circuit import FOURIER, PHASE, CapExceeded, Circuit
 from .fields import inverse_mod
 from .pathsum import AffineForm, LabeledCircuit, QuadraticForm
 from .quadform import DiagonalizationResult, _as_symmetric
@@ -65,17 +65,16 @@ def _apply_gate(state: np.ndarray, gate, p: int) -> np.ndarray:
         shape = [1] * state.ndim
         shape[r] = p
         return state * phase_vector(p).reshape(shape)
-    if gate.kind == SUM:
-        # |s, t> -> |s, s+t>: for control value s, shift the target axis by s
-        out = np.empty_like(state)
-        ctl, tgt = gate.control, gate.target
-        for s in range(p):
-            sl = [slice(None)] * state.ndim
-            sl[ctl] = s
-            out[tuple(sl)] = np.roll(state[tuple(sl)],
-                                     s, axis=tgt if tgt < ctl else tgt - 1)
-        return out
-    raise ValueError(f"unknown gate kind {gate.kind!r}")
+    # SUM, |s, t> -> |s, s+t>: for control value s, shift the target axis
+    # by s
+    out = np.empty_like(state)
+    ctl, tgt = gate.control, gate.target
+    for s in range(p):
+        sl = [slice(None)] * state.ndim
+        sl[ctl] = s
+        out[tuple(sl)] = np.roll(state[tuple(sl)],
+                                 s, axis=tgt if tgt < ctl else tgt - 1)
+    return out
 
 
 def dense_state(c: Circuit, a) -> np.ndarray:
@@ -129,21 +128,23 @@ def _accumulate_product(theta, eta, u: AffineForm, v: AffineForm,
     """Add scale*u*v to the accumulators; returns the constant contribution.
 
     Cross terms x_i x_j (i != j) are split evenly between theta[i,j] and
-    theta[j,i] via 2^(-1); squares land on the diagonal whole.
+    theta[j,i] via 2^(-1); squares land on the diagonal whole. Every term
+    is reduced mod p before it is added: unreduced terms reach (p - 1)^2,
+    and enough of them on one entry wrap int64.
     """
     for i, ci in u.coeffs:
         w = (scale * ci) % p
         for j, cj in v.coeffs:
             if i == j:
-                theta[i, i] += w * cj
+                theta[i, i] += w * cj % p
             else:
                 half = (inv2 * w * cj) % p
                 theta[i, j] += half
                 theta[j, i] += half
-        eta[i] += w * v.constant
+        eta[i] += w * v.constant % p
     w = (scale * u.constant) % p
     for j, cj in v.coeffs:
-        eta[j] += w * cj
+        eta[j] += w * cj % p
     return w * v.constant
 
 

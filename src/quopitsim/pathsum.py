@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import (FOURIER, NON_TERMINAL, SUM, Circuit,
-                      CircuitParseError, classify_fourier_gates)
+                      classify_fourier_gates)
 from .fields import inverse_mod
 from .quadform import SymmetricEntries, _as_symmetric
 
@@ -164,11 +164,9 @@ def label_circuit(c: Circuit, a, b) -> LabeledCircuit:
     """Run the labeling procedure: inputs a_i; R and bare wires propagate;
     SUM maps (s, t) to (s, s+t); the l-th non-terminal Fourier gate outputs
     x_l; terminal Fourier gates output the constants b_i."""
-    if not c.standard_form:
-        raise CircuitParseError("labeling needs a standard-form circuit")
+    roles, alpha = classify_fourier_gates(c)
     a, b = _check_tuples(c, a, b)
     p = int(c.modulus)
-    roles, alpha = classify_fourier_gates(c)
     labels = [AffineForm.const(p, v) for v in a]
     snapshots = [tuple(labels)]
     next_var = 0
@@ -200,12 +198,10 @@ def _extract_b_free(c: Circuit, a) -> tuple[QuadraticForm, np.ndarray]:
     coefficients of its register row, and the terms are coalesced into
     upper-triangle entries after the pass.
     """
-    if not c.standard_form:
-        raise CircuitParseError("extraction needs a standard-form circuit")
+    roles, alpha = classify_fourier_gates(c)
     (a,) = _check_tuples(c, a)
     p = int(c.modulus)
     inv2 = inverse_mod(2, p)
-    roles, alpha = classify_fourier_gates(c)
     rows = np.zeros((c.n, alpha + 1), dtype=np.int64)
     const = list(a)
     eta = np.zeros(alpha, dtype=np.int64)
@@ -259,7 +255,9 @@ def _extract_b_free(c: Circuit, a) -> tuple[QuadraticForm, np.ndarray]:
                 cs = active[nz]
                 support = nz + (start - 1)
                 squares.append((support, cs))
-                eta[support] += ((2 * c0 - 1) * inv2 % p) * cs
+                # each term reduced first: unreduced terms of up to
+                # (p - 1)^2 would wrap int64 over many phase gates
+                eta[support] += ((2 * c0 - 1) * inv2 % p) * cs % p
                 lo[r] = start + int(nz[0])
             zeta += inv2 * c0 * (c0 - 1)
     rows[:, 0] = const
@@ -338,9 +336,14 @@ def phase_polynomial_direct(c: Circuit, a, b) -> QuadraticForm:
     per-gate label objects would dominate.
     """
     q0, rows = _extract_b_free(c, a)
-    _, b = _check_tuples(c, a, b)
+    (b,) = _check_tuples(c, b)
     p = q0.modulus
-    eta = (q0.eta + rows[:, 1:].T @ np.array(b, dtype=np.int64)) % p
+    eta, bv = q0.eta, np.array(b, dtype=np.int64)
+    # a product of two residues is below 2^47 for every p the elimination
+    # accepts, so a sum over 2^15 registers cannot wrap int64
+    for r0 in range(0, c.n, 1 << 15):
+        r1 = r0 + (1 << 15)
+        eta = (eta + rows[r0:r1, 1:].T @ bv[r0:r1]) % p
     zeta = q0.zeta + sum(bv * c0 for bv, c0 in zip(b, rows[:, 0].tolist()))
     return QuadraticForm(p, q0.theta_entries, eta, zeta % p)
 

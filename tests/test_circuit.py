@@ -1,9 +1,11 @@
+import re
+
 import pytest
 
 from quopitsim import (CircuitParseError, Gate, classify_fourier_gates,
                        make_circuit, normalize_to_standard_form,
                        parse_circuit, serialize_circuit)
-from quopitsim.circuit import NON_TERMINAL, TERMINAL
+from quopitsim.circuit import NON_TERMINAL, SUM, TERMINAL
 
 FIG_TEXT = """\
 p 3
@@ -57,19 +59,41 @@ def test_round_trip():
     ("p 3\nn 2\nQ 0\n", "unknown directive"),
     ("p 3\nn 2\nF x\n", "non-integer"),
     ("p 3\n", "missing"),
+    # an index out of range, or negative, names its line like any other
+    # error
+    ("p 3\nn 2\nF 0\nR 5\n", "^line 4: register index 5 out of range"),
+    ("p 3\nn 2\nF 0\nR -1\n", "^line 4: register index -1 out of range"),
+    ("p 3\nn 0\nF 0\n", "^line 2: register count must be >= 1, got 0"),
+    ("p 3\n\n# no n\n", "^line 4: missing `n` header line"),
 ])
 def test_parse_errors(text, fragment):
-    with pytest.raises(CircuitParseError, match=fragment):
+    with pytest.raises(CircuitParseError, match=fragment) as excinfo:
         parse_circuit(text)
+    assert re.match(r"line \d+: ", str(excinfo.value))
 
 
 def test_gate_validation():
-    with pytest.raises(CircuitParseError):
+    # the parser reports the same messages, prefixed with the line
+    with pytest.raises(CircuitParseError,
+                       match=r"^F expects 1 argument\(s\), got 2$"):
         Gate("F", (0, 1))
-    with pytest.raises(CircuitParseError):
+    with pytest.raises(CircuitParseError, match="^SUM expects 2 argument"):
+        Gate(SUM, (0,))
+    with pytest.raises(CircuitParseError, match="must differ"):
         Gate.sum(2, 2)
-    with pytest.raises(CircuitParseError):
+    with pytest.raises(CircuitParseError, match="^unknown directive 'BOGUS'$"):
         Gate("BOGUS", (0,))
+
+
+def test_make_circuit_validation():
+    with pytest.raises(CircuitParseError,
+                       match="^register index 2 out of range for n=2$"):
+        make_circuit(3, 2, [Gate.fourier(0), Gate.sum(2, 1)])
+    with pytest.raises(CircuitParseError,
+                       match="^register count must be >= 1, got 0$"):
+        make_circuit(3, 0, [])
+    with pytest.raises(ValueError, match="modulus must be"):
+        make_circuit(9, 1, [Gate.fourier(0)])
 
 
 def test_standard_form_flag():

@@ -32,6 +32,15 @@ def test_weil_sum_degenerate_cases():
     assert weil_sum(7, 14, 7) == ExactScalar(7, sqrtp_exponent=2)  # mod p
 
 
+def test_weil_sum_takes_numpy_integers():
+    # diagonal and mu entries arrive as np.int64, whose mu * mu wraps near
+    # p = 10^7
+    p = 9636251
+    exact = weil_sum(5, 9000000, p)
+    assert weil_sum(np.int64(5), np.int64(9000000), p) == exact
+    assert exact.render() == f"{p}^(1/2) * i^1 * chi(660288)"
+
+
 def test_weil_sum_gauss_values():
     # the pure quadratic sum has magnitude sqrt(p); it is real for
     # p = 1 mod 4 and purely imaginary for p = 3 mod 4

@@ -5,11 +5,13 @@ import pytest
 
 from conftest import random_circuit
 from quopitsim import (CircuitParseError, Gate, brute_force_path_sum,
-                       dense_amplitude, extract_phase_polynomial,
-                       label_circuit, make_circuit,
+                       dense_amplitude, diagonalize,
+                       extract_phase_polynomial, label_circuit, make_circuit,
                        normalize_to_standard_form, parse_circuit,
                        phase_polynomial_direct)
-from quopitsim.pathsum import (AffineForm, QuadraticForm,
+from quopitsim.circuit import FOURIER, SUM
+from quopitsim.evaluator import assemble_amplitude
+from quopitsim.pathsum import (AffineForm, QuadraticForm, _extract_b_free,
                                render_phase_polynomial)
 
 FIG_TEXT = "p 3\nn 3\nR 0\nF 1\nSUM 0 1\nF 2\nF 0\nSUM 1 2\nF 0\nF 1\nF 2\n"
@@ -123,16 +125,80 @@ def test_path_sum_reproduces_dense_amplitude():
 
 def test_label_requires_standard_form():
     c = make_circuit(3, 1, [Gate.phase(0)])
-    with pytest.raises(CircuitParseError):
+    with pytest.raises(CircuitParseError, match="not in standard form"):
         label_circuit(c, (0,), (0,))
+    with pytest.raises(CircuitParseError, match="not in standard form"):
+        phase_polynomial_direct(c, (0,), (0,))
 
 
 def test_label_checks_tuple_lengths():
     c = make_circuit(3, 2, [Gate.fourier(0), Gate.fourier(1)])
     with pytest.raises(ValueError):
         label_circuit(c, (0,), (0, 0))
-    with pytest.raises(ValueError):
-        phase_polynomial_direct(c, (0, 0), (0,))
+    # the sweep checks a, phase_polynomial_direct checks b
+    for a, b in (((0,), (0, 0)), ((0, 0), (0,))):
+        with pytest.raises(ValueError, match="must have length 2, got 1$"):
+            phase_polynomial_direct(c, a, b)
+
+
+def _eta_in_python_ints(lc):
+    """eta of S(x), summed gate by gate from the wire labels in Python
+    integers, which cannot wrap."""
+    p = int(lc.circuit.modulus)
+    inv2 = pow(2, -1, p)
+    eta = [0] * lc.alpha
+    for i, gate in enumerate(lc.circuit.gates):
+        if gate.kind == SUM:
+            continue
+        (u,), (v,) = lc.gate_inputs(i), lc.gate_outputs(i)
+        if gate.kind == FOURIER:
+            # in * out
+            terms = [(u.constant, v.coeffs), (v.constant, u.coeffs)]
+        else:
+            # 2^(-1) * in * (in - 1): its linear part
+            terms = [(inv2 * (2 * u.constant - 1), u.coeffs)]
+        for scale, coeffs in terms:
+            for l, coeff in coeffs:
+                eta[l] += scale * coeff
+    return [e % p for e in eta]
+
+
+def test_eta_terms_do_not_wrap_int64():
+    # p is the largest prime the elimination accepts at alpha = 1. The
+    # SUMs leave x1's coefficient on register 1 at 0.9991 p, so each phase
+    # gate's eta term is near p^2, and 150,000 of them, unreduced, pass
+    # 2^63 and wrap, in both extractors alike
+    p = 9636251
+    gates = [Gate.fourier(0)]
+    gates += [Gate.sum(0, 1) if k % 2 == 0 else Gate.sum(1, 0)
+              for k in range(1025)]
+    gates += [Gate.phase(1)] * 150_000 + [Gate.fourier(0), Gate.fourier(1)]
+    c = make_circuit(p, 2, gates)
+    a, b = (0, 4376162), (0, 0)
+    q = phase_polynomial_direct(c, a, b)
+    lc = label_circuit(c, a, b)
+    assert q.eta.tolist() == _eta_in_python_ints(lc) == [6397362]
+    assert extract_phase_polynomial(lc) == q
+    res = diagonalize(q.theta_entries, p, eta=q.eta)
+    report = assemble_amplitude(c, q, res.diagonal, res.mu)
+    assert report.amplitude.render() == "9636251^(-2/2) * i^3 * chi(9617501)"
+
+
+def test_outcome_fold_does_not_wrap_int64():
+    # b_r multiplies register r's final coefficients; with x1's coefficient
+    # near p on each of 100,500 registers and every b_r = p - 1 the sum of
+    # the products passes 2^63
+    p, n = 9636251, 100_500
+    gates = [Gate.fourier(0)]
+    gates += [Gate.sum(0, 1) if k % 2 == 0 else Gate.sum(1, 0)
+              for k in range(1025)]
+    gates += [Gate.sum(1, r) for r in range(2, n)]
+    gates += [Gate.fourier(r) for r in range(n)]
+    c = make_circuit(p, n, gates)
+    a, b = (0,) * n, (p - 1,) * n
+    q0, rows = _extract_b_free(c, a)
+    want = (int(q0.eta[0]) + sum(v * (p - 1) for v in rows[:, 1].tolist()))
+    assert phase_polynomial_direct(c, a, b).eta.tolist() == [want % p]
 
 
 def test_render_phase_polynomial():

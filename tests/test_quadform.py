@@ -160,16 +160,18 @@ def test_blocked_banded_and_scattered(monkeypatch):
         _assert_same(blocked, diagonalize_reference(A, p), eta, p)
 
 
-def _banded_with_zero_stretches(rng, p: int, alpha: int) -> np.ndarray:
-    # bandwidth 3, and three stretches of 35 coordinates with a zero
+def _banded_with_zero_stretches(rng, p: int, alpha: int,
+                                starts=(10, 60, 110),
+                                length: int = 35) -> np.ndarray:
+    # bandwidth 3, and stretches of `length` coordinates with a zero
     # diagonal that the band before them does not reach: at a stretch the
     # first nonzero diagonal entry lies far past the loaded block, so the
     # pivot rotation has to load up to it
     A = random_symmetric(rng, alpha, p)
     r, c = np.indices(A.shape)
     A[np.abs(r - c) > 3] = 0
-    for start in (10, 60, 110):
-        stretch = np.arange(start, start + 35)
+    for start in starts:
+        stretch = np.arange(start, start + length)
         A[stretch, stretch] = 0
         A[:start, start:] = 0
         A[start:, :start] = 0
@@ -209,6 +211,11 @@ def _sliding_window_inputs():
         A[:100, :100] = head
         A[109:, 109:] = tail
         yield p2, A
+    # a zero stretch longer than the pivot search's first stage of 64
+    # diagonal entries, so the second stage finds the pivot
+    for p in (5, 10007):
+        yield p, _banded_with_zero_stretches(rng, p, 160, starts=(30,),
+                                             length=100)
 
 
 @pytest.mark.parametrize("p, A", list(_sliding_window_inputs()))
