@@ -59,11 +59,15 @@ def _vec(v: np.ndarray) -> str:
     return "[" + " ".join(map(str, v.tolist())) + "]"
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected at least 1, got {value}")
-    return value
+def at_least(low: int):
+    """The argparse type of an integer option whose values start at low."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected at least {low}, got {value}")
+        return value
+    return integer
 
 
 def _load_circuit(path: str) -> Circuit:
@@ -242,9 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
     add("table", cmd_table, "amplitudes for every outcome b", wants_a=True)
     add("weight", cmd_weight, "balancedness weight and rank")
     sp = add("check", cmd_check, "compare against brute-force oracles")
-    sp.add_argument("--trials", type=positive_int, default=20, metavar="T",
+    sp.add_argument("--trials", type=at_least(1), default=20, metavar="T",
                     help="random transitions to test (default 20)")
-    sp.add_argument("--seed", type=int, default=0, metavar="S",
+    sp.add_argument("--seed", type=at_least(0), default=0, metavar="S",
                     help="PRNG seed (default 0)")
     add("normalize", cmd_normalize, "print the standard-form circuit")
     return parser

@@ -33,7 +33,7 @@ import numpy as np
 from .circuit import (FOURIER, NON_TERMINAL, SUM, Circuit,
                       classify_fourier_gates)
 from .fields import inverse_mod
-from .quadform import SymmetricEntries, _as_symmetric
+from .quadform import SymmetricEntries, _as_symmetric, _pick_dtype
 
 
 def variable_name(l: int) -> str:
@@ -197,10 +197,15 @@ def _extract_b_free(c: Circuit, a) -> tuple[QuadraticForm, np.ndarray]:
     Theta is never dense: each gate's term is kept as the support and
     coefficients of its register row, and the terms are coalesced into
     upper-triangle entries after the pass.
+
+    A (p, alpha) that `diagonalize` refuses raises its ValueError here, so
+    every accepted p with alpha >= 1 is below 9.7 million: a product of two
+    residues stays below 2^47, and the int64 sums of them cannot wrap.
     """
     roles, alpha = classify_fourier_gates(c)
     (a,) = _check_tuples(c, a)
     p = int(c.modulus)
+    _pick_dtype(alpha, p)
     inv2 = inverse_mod(2, p)
     rows = np.zeros((c.n, alpha + 1), dtype=np.int64)
     const = list(a)
@@ -339,7 +344,7 @@ def phase_polynomial_direct(c: Circuit, a, b) -> QuadraticForm:
     (b,) = _check_tuples(c, b)
     p = q0.modulus
     eta, bv = q0.eta, np.array(b, dtype=np.int64)
-    # a product of two residues is below 2^47 for every p the elimination
+    # a product of two residues is below 2^47 for every p the extraction
     # accepts, so a sum over 2^15 registers cannot wrap int64
     for r0 in range(0, c.n, 1 << 15):
         r1 = r0 + (1 << 15)

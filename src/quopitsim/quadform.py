@@ -5,7 +5,12 @@ upper-triangle entries sorted by column. `diagonalize` computes L
 invertible with L^T A L = diag(lambda) by rank-1 updates deferred in panels
 of PANEL pivots, so the trailing matrix is touched O(alpha/PANEL) times
 instead of O(alpha) times. The panel width and the flush block size are
-module constants, not parameters. The one-peel-at-a-time ground truth,
+module constants, not parameters. The panel buffers are indexed by position,
+like the diagonal and the right-hand sides, so only the dense block moves
+when the window loads, grows or slides. They are never cleared: a pivot
+writes its panel row only right of itself and inside the window, every read
+lies at or right of the current pivot and inside the window, and the window
+never shrinks. The one-peel-at-a-time ground truth,
 `oracle.diagonalize_reference`, composes `oracle.split_step` literally; the
 tests require the same L and the same diagonal, entry for entry.
 
@@ -19,7 +24,7 @@ reach past the running maximum of the pivot rows' support bounds, so every
 entry beyond the loaded block is still an untouched entry of A; a
 coordinate's entries are loaded when the window, a rotation or a fold first
 reaches it, and finished coordinates are dropped from the block. Memory is
-O(nnz(A) + w^2) for a window of w coordinates.
+O(nnz(A) + w^2 + PANEL * alpha) for a window of w coordinates.
 
 The block is symmetric, so only its upper triangle is kept current: loads
 write the entries on and above the diagonal, each panel flush updates a row
@@ -176,12 +181,14 @@ def diagonalize(theta, p: int, want_l: bool = False,
     oracle.diagonalize_reference entry for entry. The trailing matrix only
     receives one flush per PANEL pivots; the running diagonal and the
     current pivot row are patched from the panel buffers so pivot decisions
-    never see stale values. Only the block's upper triangle is current;
-    nothing reads below its diagonal. Arithmetic stays exact: entries are
-    integers carried in floats small enough to be exact, reduced mod p only
-    when read (the pivot row and the diagonal scan through int64, the block
-    in place before a fold); a (p, alpha) too large for float64 raises
-    ValueError.
+    never see stale values. The panel buffers span all alpha positions and
+    are never cleared or moved: pivot t writes its row on [t + 1, hi) only,
+    and every read lies in [t, hi) of a later pivot. Only the block's upper
+    triangle is current; nothing reads below its diagonal. Arithmetic stays
+    exact: entries are integers carried in floats small enough to be exact,
+    reduced mod p only when read (the pivot row and the diagonal scan
+    through int64, the block in place before a fold); a (p, alpha) too
+    large for float64 raises ValueError.
 
     eta, of shape (alpha,) or (alpha, m), is a set of right-hand sides: row i
     belongs to coordinate i and follows every column operation on Theta, so
@@ -197,9 +204,9 @@ def diagonalize(theta, p: int, want_l: bool = False,
     to the right of the rows that produced them. Only the block [t, top)
     with top >= hi is held dense; coordinates from top on still carry their
     original entries, which are loaded when the window, a rotation or a fold
-    first reaches them. Memory is O(nnz(theta) + w^2) for a block of w
-    coordinates; matrices from circuits are close to banded, so the block
-    is usually much narrower than the matrix.
+    first reaches them. Memory is O(nnz(theta) + w^2 + PANEL * alpha) for
+    a block of w coordinates; matrices from circuits are close to banded, so
+    the block is usually much narrower than the matrix.
     """
     if isinstance(theta, SymmetricEntries):
         S = theta
@@ -227,12 +234,17 @@ def diagonalize(theta, p: int, want_l: bool = False,
     # rotations permute, and only inside the loaded block.
     orig = np.arange(alpha)
     pos = np.arange(alpha)
-    # the dense block: position k at A[k - base], for base <= t <= k < top;
-    # the panel buffers share its columns, one row per pending pivot:
-    # Vp[j] = wv_j, Wp[j] = row_j
+    # the dense block: position k at A[k - base], for base <= t <= k < top
     A = np.zeros((0, 0), dtype=dtype)
-    Vp = np.zeros((PANEL, 0), dtype=dtype)
-    Wp = np.zeros((PANEL, 0), dtype=dtype)
+    # the panel buffers, indexed by position like d and rhs, one row per
+    # pending pivot: pivot t_j writes Vp[j] = wv_j and Wp[j] = row_j on
+    # [t_j + 1, hi) only. Nothing clears them: every read lies at or right
+    # of the current pivot and left of hi, hi never decreases, and a row
+    # holds values only left of the hi of its last write or rotation, so a
+    # reused row's old values lie left of its new pivot or under its new
+    # write
+    Vp = np.zeros((PANEL, alpha), dtype=dtype)
+    Wp = np.zeros((PANEL, alpha), dtype=dtype)
     base = top = 0
     # right-hand sides: eta's m columns, then the identity when L is wanted
     m = 0 if eta is None else (eta_shape[1] if len(eta_shape) == 2 else 1)
@@ -252,7 +264,7 @@ def diagonalize(theta, p: int, want_l: bool = False,
         # there, since no update reaches past hi <= top, so coordinate c
         # loads as its original column. Finished positions have no entry
         # that far out.
-        nonlocal A, Vp, Wp, base, top
+        nonlocal A, base, top
         if end <= top:
             return
         live, size = top - t, end - t
@@ -271,8 +283,6 @@ def diagonalize(theta, p: int, want_l: bool = False,
                 kept = slice(t - base, top - base)
                 grown[:live, :live] = A[kept, kept]
                 A = grown
-                Vp, Wp = (np.pad(P[:, kept], ((0, 0), (0, cap - live)))
-                          for P in (Vp, Wp))
             else:
                 # in row blocks no taller than the shift, so no block
                 # overlaps its source
@@ -281,15 +291,11 @@ def diagonalize(theta, p: int, want_l: bool = False,
                     r1 = min(r0 + shift, live)
                     A[r0:r1, :live] = A[r0 + shift:r1 + shift,
                                         shift:shift + live]
-                for P in (Vp, Wp):
-                    P[:j, :live] = P[:j, shift:shift + live]
             base = t
         # only the new columns' upper triangle: every loaded entry sits
         # above the diagonal, since pos[r] < top <= c or pos[r] = r <= c
         old, new = top - base, end - base
         A[t - base:new, old:new] = 0
-        Vp[:j, old:new] = 0
-        Wp[:j, old:new] = 0
         s0, s1 = colptr[top], colptr[end]
         A[pos[rows[s0:s1]] - base, cols[s0:s1] - base] = vals[s0:s1]
         top = end
@@ -312,8 +318,8 @@ def diagonalize(theta, p: int, want_l: bool = False,
             end = hi - base
             for r0, r1 in row_blocks(end):
                 block = A[r0:r1, r0:end]
-                np.subtract(block, Vp[:j, r0:r1].T @ Wp[:j, r0:end],
-                            out=block)
+                np.subtract(block, Vp[:j, base + r0:base + r1].T
+                            @ Wp[:j, base + r0:hi], out=block)
             j = 0
 
     def rotate_to_front(q: int):
@@ -338,9 +344,8 @@ def diagonalize(theta, p: int, want_l: bool = False,
         d[t:q + 1] = d[perm]
         ext[t:q + 1] = ext[perm]
         np.maximum(ext[t:q + 1], q + 1, out=ext[t:q + 1])
-        if j:
-            Vp[:j, t - base:q + 1 - base] = Vp[:j, k]
-            Wp[:j, t - base:q + 1 - base] = Wp[:j, k]
+        Vp[:j, t:q + 1] = Vp[:j, perm]
+        Wp[:j, t:q + 1] = Wp[:j, perm]
         rhs[t:q + 1] = rhs[perm]
         orig[t:q + 1] = orig[perm]
         pos[orig[t:q + 1]] = np.arange(t, q + 1)
@@ -404,25 +409,20 @@ def diagonalize(theta, p: int, want_l: bool = False,
 
         hi = max(hi, t + 1, int(ext[t]))
         load(hi)
-        o = base
         a = int(d[t]) % p
         lam[t] = a
         ainv = inverse_mod(a, p)
-        row = A[t - o, t + 1 - o:hi - o]
+        row = A[t - base, t + 1 - base:hi - base]
         if j:
-            row = row - Vp[:j, t - o] @ Wp[:j, t + 1 - o:hi - o]
+            row = row - Vp[:j, t] @ Wp[:j, t + 1:hi]
         # reduced through int64, exact for these integers below 2^53 and
         # much cheaper than a float mod
         ri = row.astype(np.int64) % p
         row = ri.astype(dtype)
         wv = (ri * ainv % p).astype(dtype)
         d[t + 1:hi] -= wv * row
-        Vp[j, t + 1 - o:hi - o] = wv
-        Wp[j, t + 1 - o:hi - o] = row
-        Vp[j, t - o] = 0
-        Wp[j, t - o] = 0
-        Vp[j, hi - o:] = 0
-        Wp[j, hi - o:] = 0
+        Vp[j, t + 1:hi] = wv
+        Wp[j, t + 1:hi] = row
         rhs[t + 1:hi] -= wv[:, None] * (rhs[t] % p)
         t += 1
         j += 1

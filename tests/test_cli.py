@@ -157,6 +157,20 @@ def test_check_refuses_no_trials(capsys, circuit_file, trials):
     assert out.startswith("p = 3, n = 3, alpha = 3, trials = 1, seed = 0\n")
 
 
+def test_check_refuses_negative_seed(capsys, circuit_file):
+    # the seeded generator takes no negative seed; the flag is named before
+    # the circuit is read
+    path = circuit_file(FIG_TEXT)
+    code, out, err = run(capsys, ["check", "-c", path, "--seed", "-1"])
+    assert (code, out) == (1, "")
+    assert err == ("quopitsim check: argument --seed: expected at least 0, "
+                   "got -1\n")
+    code, out, _ = run(capsys, ["check", "-c", path, "--trials", "1",
+                                "--seed", "0"])
+    assert code == 0
+    assert out.startswith("p = 3, n = 3, alpha = 3, trials = 1, seed = 0\n")
+
+
 def test_check_dense_gate_cap_exits_two(capsys, circuit_file):
     # p^n = 1031 fits the dense dimension cap; the 1031 x 1031 gate does not
     path = circuit_file("p 1031\nn 1\nF 0\n")

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import random_circuit
-from quopitsim import (CircuitParseError, Gate, brute_force_path_sum,
-                       dense_amplitude, diagonalize,
+from quopitsim import (CircuitParseError, Gate, amplitude,
+                       brute_force_path_sum, dense_amplitude, diagonalize,
                        extract_phase_polynomial, label_circuit, make_circuit,
                        normalize_to_standard_form, parse_circuit,
                        phase_polynomial_direct)
@@ -199,6 +199,22 @@ def test_outcome_fold_does_not_wrap_int64():
     q0, rows = _extract_b_free(c, a)
     want = (int(q0.eta[0]) + sum(v * (p - 1) for v in rows[:, 1].tolist()))
     assert phase_polynomial_direct(c, a, b).eta.tolist() == [want % p]
+
+
+def test_extraction_refuses_what_elimination_refuses():
+    # Theta[0, 0] = 8 * 2^(-1) mod p sums eight residues near 2^60, which
+    # passes 2^63; the extractor refuses this (p, alpha) as amplitude does
+    # instead of returning the wrapped sum
+    p = 2 ** 61 - 1
+    c = make_circuit(p, 1, [Gate.fourier(0)] + [Gate.phase(0)] * 8
+                     + [Gate.fourier(0)])
+    with pytest.raises(ValueError) as extracted:
+        phase_polynomial_direct(c, (0,), (0,))
+    with pytest.raises(ValueError) as evaluated:
+        amplitude(c, (0,), (0,))
+    assert str(extracted.value) == str(evaluated.value)
+    assert str(extracted.value).startswith(
+        f"p = {p} with alpha = 1 is beyond exact float64 elimination")
 
 
 def test_render_phase_polynomial():
