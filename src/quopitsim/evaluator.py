@@ -23,6 +23,15 @@ An outcome table runs one b-free extraction, whose final register rows are
 d eta / d b_i and d zeta / d b_i, hands `diagonalize` the right-hand sides
 [eta(b = 0) | d eta / d b_i], and expands them to every outcome b in
 fixed-size chunks, without forming L.
+
+Only `amplitude` (and `balance_weight` through it) may eliminate Theta in
+another order, the one `quadform.envelope_order` offers when it pays:
+P^T Theta P with eta permuted alike is a congruence, under which the
+amplitude, the probability, the rank, alpha, the weight and whether Z is
+empty are invariant. |Z| is not, so a reordered elimination that finds Z
+nonempty is redone canonically, and every report field is the canonical
+one. Tables and `--explain` eliminate in the canonical order, since they
+print or expand the diagonal and mu themselves.
 """
 from __future__ import annotations
 
@@ -35,7 +44,7 @@ from .circuit import CapExceeded, Circuit, normalize_to_standard_form
 from .fields import ExactScalar, inverse_mod, legendre
 from .pathsum import (QuadraticForm, _extract_b_free,
                       phase_polynomial_direct)
-from .quadform import diagonalize
+from .quadform import diagonalize, envelope_order
 
 TABLE_CAP = 100_000
 # outcomes assembled at once; bounds a table's alpha x chunk working set
@@ -127,10 +136,24 @@ def assemble_amplitude(cn: Circuit, q: QuadraticForm, diagonal: np.ndarray,
 
 def amplitude(c: Circuit, a, b) -> AmplitudeReport:
     """Exact transition amplitude <b|U|a>. The circuit is brought to standard
-    form first, so any circuit is accepted."""
+    form first, so any circuit is accepted.
+
+    When `quadform.envelope_order` offers an order, Theta is eliminated in
+    it, with eta permuted alike. A reordered elimination that finds Z
+    nonempty is redone in the canonical order, since |Z| depends on the
+    order, so every field of the report is the canonical one.
+    """
     cn = normalize_to_standard_form(c)
+    p = int(cn.modulus)
     q = phase_polynomial_direct(cn, a, b)
-    res = diagonalize(q.theta_entries, int(cn.modulus), eta=q.eta)
+    S = q.theta_entries
+    order = envelope_order(S, p)
+    if order is not None:
+        res = diagonalize(S.permuted(order), p, eta=q.eta[order])
+        report = assemble_amplitude(cn, q, res.diagonal, res.mu)
+        if not report.z_size:
+            return report
+    res = diagonalize(S, p, eta=q.eta)
     return assemble_amplitude(cn, q, res.diagonal, res.mu)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .circuit import FOURIER, PHASE, CapExceeded, Circuit
 from .fields import inverse_mod
 from .pathsum import AffineForm, LabeledCircuit, QuadraticForm
-from .quadform import DiagonalizationResult, _as_symmetric
+from .quadform import DiagonalizationResult, _as_symmetric, _pick_dtype
 
 DENSE_DIM_CAP = 10_000
 # entries of the dense p x p Fourier gate: 16 MB of complex128
@@ -150,11 +150,14 @@ def _accumulate_product(theta, eta, u: AffineForm, v: AffineForm,
 
 def extract_phase_polynomial(lc: LabeledCircuit) -> QuadraticForm:
     """Expand Eq.-style gate terms from the labeled circuit into (Theta, eta,
-    zeta). Products of affine labels are at most quadratic by construction."""
+    zeta). Products of affine labels are at most quadratic by construction.
+    A (p, alpha) that `amplitude` refuses is refused here too, with the same
+    ValueError, before int64 sums of residues that large can wrap."""
     c = lc.circuit
     p = int(c.modulus)
     inv2 = inverse_mod(2, p)
     alpha = lc.alpha
+    _pick_dtype(alpha, p)
     theta = np.zeros((alpha, alpha), dtype=np.int64)
     eta = np.zeros(alpha, dtype=np.int64)
     zeta = 0

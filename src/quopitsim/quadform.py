@@ -35,6 +35,21 @@ the next pivot is sought, is reduced mod p through int64 rather than by a
 float mod; the casts are exact, since every value is an integer below 2^53
 in magnitude. Only a fold reduces the block itself, in place.
 
+A pivot rotation cycles positions t..q one step so that q lands at t. Each
+array it touches, the block's rows right of q and its triangle inside
+[t, q] included, moves by slices shifted one position, never by gathers.
+
+`diagonalize` eliminates in the order it is given, so its window is the
+envelope of A in that order, and it does not reorder. `envelope_order`
+offers a Cuthill-McKee order (Cuthill and McKee 1969; George and Liu 1981)
+when a static estimate of the flush work says eliminating in it pays; the
+caller then eliminates `S.permuted(order)` with its right-hand sides
+permuted alike. That is a congruence, so the rank, the square class of the
+nonzero diagonal's product and, with eta permuted alike, whether some
+coordinate has lambda_i = 0 and mu_i != 0 do not change; the diagonal, L,
+mu and the count of such coordinates are those of the permuted form.
+`evaluator.amplitude` is the only caller that reorders.
+
 `diagonalize` never forms L while it eliminates. It applies each column
 operation to a matrix of right-hand sides instead, so it returns
 mu = L^T eta for every column of eta at once; L itself, when asked for, is
@@ -43,7 +58,10 @@ L = (L^T I)^T.
 """
 from __future__ import annotations
 
+import contextlib
+import functools
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -53,6 +71,60 @@ from .fields import inverse_mod
 PANEL = 96
 # entries per row block of a panel flush; bounds its temporary
 FLUSH_ENTRIES = 1 << 20
+# flush bytes per coordinate that a reordered elimination must save before
+# `envelope_order` offers its order: the price of the extra rotations a
+# reordered run makes (see `envelope_order` for how it was measured)
+REORDER_BYTES = 5_000_000
+# flush products with fewer multiply-adds than this run on one BLAS thread:
+# waking a second thread that has gone idle costs about 10 ms, far more than
+# it saves on such a product
+BLAS_SERIAL_MACS = 50_000_000
+
+
+@functools.cache
+def _openblas():
+    # (get, set) of the thread count of the OpenBLAS bundled with numpy's
+    # wheel, or None when that library or its symbols are not there
+    import ctypes
+
+    root = Path(np.__file__).parent
+    for path in (*root.parent.glob("numpy.libs/libscipy_openblas*"),
+                 *root.glob(".dylibs/libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _blas_threads():
+    """Yield fit(macs), which sets the BLAS thread count for a product of
+    that many multiply-adds: one thread below BLAS_SERIAL_MACS, the caller's
+    count otherwise. The caller's count is restored on the way out."""
+    api = _openblas()
+    if api is None:
+        yield lambda macs: None
+        return
+    get, put = api
+    caller = now = get()
+
+    def fit(macs: int):
+        nonlocal now
+        want = 1 if macs < BLAS_SERIAL_MACS else caller
+        if want != now:
+            put(want)
+            now = want
+    try:
+        yield fit
+    finally:
+        if now != caller:
+            put(caller)
 
 
 def _as_symmetric(A, p: int) -> np.ndarray:
@@ -62,6 +134,15 @@ def _as_symmetric(A, p: int) -> np.ndarray:
     if not np.array_equal(M, M.T):
         raise ValueError("matrix is not symmetric mod p")
     return M
+
+
+def _moved(order, rows, cols):
+    # upper-triangle positions of the entries (rows, cols) once position k
+    # holds coordinate order[k]
+    inv = np.empty(len(order), dtype=np.int64)
+    inv[order] = np.arange(len(order))
+    r, c = inv[rows], inv[cols]
+    return np.minimum(r, c), np.maximum(r, c)
 
 
 class SymmetricEntries:
@@ -102,6 +183,16 @@ class SymmetricEntries:
         keep = total != 0
         key = key[starts[keep]]
         return cls(size, key % size, key // size, total[keep])
+
+    def permuted(self, order) -> "SymmetricEntries":
+        """P^T A P for the permutation matrix with P[order[k], k] = 1:
+        position k holds coordinate order[k]."""
+        rows, cols = _moved(order, self.rows, self.cols)
+        # distinct positions stay distinct, so nothing is summed, and any
+        # modulus above the values leaves them as they are
+        return SymmetricEntries.coalesce(
+            self.size, int(self.vals.max(initial=0)) + 1, rows, cols,
+            self.vals)
 
     def dense_rows(self):
         """Yield the dense int64 rows in order through one reused buffer,
@@ -170,6 +261,105 @@ def _pick_dtype(alpha: int, p: int):
                      f"elimination: lazy bound {bound} >= 2^53")
 
 
+def _row_ends(size: int, rows, cols) -> np.ndarray:
+    # ext[i] bounds row i's support: A[i, ext[i]:] == 0 (at least i + 1 so
+    # the window always reaches past the diagonal)
+    ext = np.arange(1, size + 1)
+    np.maximum.at(ext, rows, cols + 1)
+    return ext
+
+
+def _block_work(ext: np.ndarray) -> int:
+    # sum over pivots t of (hi - t)^2, hi the running maximum of the row
+    # ends: the square of the window each pivot's updates can reach
+    hi = np.maximum.accumulate(ext)
+    return int(np.square(hi - np.arange(len(ext))).sum())
+
+
+def _levels(ptr, nbr, start: int, seen: np.ndarray):
+    # breadth-first levels from start in Cuthill-McKee order: each level
+    # lists the unseen neighbours of the level before, parent by parent and
+    # each parent's in nbr's order; marks them in seen
+    level = np.array([start])
+    seen[start] = True
+    while level.size:
+        yield level
+        lo, counts = ptr[level], ptr[level + 1] - ptr[level]
+        offsets = np.cumsum(counts) - counts
+        reach = nbr[np.repeat(lo - offsets, counts) + np.arange(counts.sum())]
+        reach = reach[~seen[reach]]
+        # a coordinate reached by several parents goes with the first
+        k = np.arange(len(reach))
+        first = np.full(len(seen), len(reach))
+        np.minimum.at(first, reach, k)
+        level = reach[first[reach] == k]
+        seen[level] = True
+
+
+def _cuthill_mckee(S: SymmetricEntries) -> np.ndarray:
+    """A Cuthill-McKee order of S's off-diagonal pattern: breadth first from
+    a pseudo-peripheral coordinate of each connected component (George and
+    Liu's search), neighbours by increasing degree, and coordinates without
+    off-diagonal entries last."""
+    off = S.rows != S.cols
+    r = np.concatenate((S.rows[off], S.cols[off]))
+    c = np.concatenate((S.cols[off], S.rows[off]))
+    deg = np.bincount(r, minlength=S.size)
+    # each row's neighbours by degree, then index
+    nbr = c[np.argsort((r * (deg.max(initial=0) + 1) + deg[c]) * S.size + c)]
+    ptr = np.concatenate(([0], np.cumsum(deg)))
+    seen = deg == 0
+    parts = []
+    while not seen.all():
+        start = int(np.argmin(np.where(seen, S.size, deg)))
+        depth = 0
+        while True:
+            levels = list(_levels(ptr, nbr, start, seen.copy()))
+            if len(levels) <= depth:
+                break
+            depth, last = len(levels), levels[-1]
+            start = int(last[np.argmin(deg[last])])
+        parts += _levels(ptr, nbr, start, seen)
+    parts.append(np.flatnonzero(deg == 0))
+    return np.concatenate(parts)
+
+
+def envelope_order(S: SymmetricEntries, p: int) -> np.ndarray | None:
+    """A Cuthill-McKee order of S when eliminating in it should pay, else
+    None.
+
+    The static block work W = sum over pivots t of (hi_t - t)^2, with hi_t
+    the running maximum of the row ends, prices the panel flushes of an
+    elimination in a given order in entries; it takes O(nnz) from the row
+    ends `diagonalize` computes. The order is returned when it saves at
+    least REORDER_BYTES per coordinate at the float type's item size:
+    itemsize * (W_canonical - W_reordered) >= REORDER_BYTES * alpha. When
+    itemsize * W_canonical alone is below that bar, no saving can reach it
+    and the order is not built.
+
+    REORDER_BYTES stands for the rotations a reordered run adds: eliminating
+    a coordinate completes a square and leaves its partner with a zero
+    diagonal, which the first-nonzero pivot rule then pushes back one slot
+    per pivot, so such a run rotates at almost every pivot. It was set
+    between two groups of circuit classes (10^4 gates, best of 3
+    diagonalizations each order, 2 vCPUs): the canonical order was faster
+    where the saving per coordinate read at most 1.6e6 (p = 3 and
+    p = 10007 on 50 registers), and Cuthill-McKee tied or won where it
+    read at least 7.7e6 (p = 101 on 100 registers, p = 3 and p = 10007 on
+    200).
+    """
+    alpha = S.size
+    itemsize = np.dtype(_pick_dtype(alpha, p)).itemsize
+    bar = REORDER_BYTES * alpha
+    work = _block_work(_row_ends(alpha, S.rows, S.cols))
+    if not alpha or itemsize * work < bar:
+        return None
+    order = _cuthill_mckee(S)
+    saved = work - _block_work(_row_ends(alpha,
+                                         *_moved(order, S.rows, S.cols)))
+    return order if itemsize * saved >= bar else None
+
+
 def diagonalize(theta, p: int, want_l: bool = False,
                 eta=None) -> DiagonalizationResult:
     """Full congruence diagonalization with panel-deferred updates.
@@ -206,7 +396,12 @@ def diagonalize(theta, p: int, want_l: bool = False,
     original entries, which are loaded when the window, a rotation or a fold
     first reaches them. Memory is O(nnz(theta) + w^2 + PANEL * alpha) for
     a block of w coordinates; matrices from circuits are close to banded, so
-    the block is usually much narrower than the matrix.
+    the block is usually much narrower than the matrix. theta is eliminated
+    in the order given; `envelope_order` says when another order pays.
+
+    Each flush product of fewer than BLAS_SERIAL_MACS multiply-adds runs on
+    one thread of numpy's bundled OpenBLAS, when its thread count can be
+    set; each flush restores the caller's count on its way out.
     """
     if isinstance(theta, SymmetricEntries):
         S = theta
@@ -226,10 +421,7 @@ def diagonalize(theta, p: int, want_l: bool = False,
     on_diag = rows == cols
     d[rows[on_diag]] = vals[on_diag]
     lam = np.zeros(alpha, dtype=np.int64)
-    # ext[i] bounds row i's support: A[i, ext[i]:] == 0 (at least i+1 so the
-    # window always reaches past the diagonal)
-    ext = np.arange(1, alpha + 1)
-    np.maximum.at(ext, rows, cols + 1)
+    ext = _row_ends(alpha, rows, cols)
     # coordinate orig[k] of A sits at position k; pos is the inverse. Only
     # rotations permute, and only inside the loaded block.
     orig = np.arange(alpha)
@@ -253,6 +445,12 @@ def diagonalize(theta, p: int, want_l: bool = False,
         rhs[:, :m] = (np.asarray(eta, dtype=np.int64) % p).reshape(alpha, m)
     if want_l:
         np.fill_diagonal(rhs[:, m:], 1)
+
+    def cycle(x):
+        # x's last row to the front, the others down one
+        old = x.copy()
+        x[1:] = old[:-1]
+        x[0] = old[-1]
 
     t = 0
     j = 0  # pending panel rows
@@ -316,38 +514,37 @@ def diagonalize(theta, p: int, want_l: bool = False,
         nonlocal j
         if j:
             end = hi - base
-            for r0, r1 in row_blocks(end):
-                block = A[r0:r1, r0:end]
-                np.subtract(block, Vp[:j, base + r0:base + r1].T
-                            @ Wp[:j, base + r0:hi], out=block)
+            with _blas_threads() as fit_threads:
+                for r0, r1 in row_blocks(end):
+                    block = A[r0:r1, r0:end]
+                    fit_threads(j * (r1 - r0) * (end - r0))
+                    np.subtract(block, Vp[:j, base + r0:base + r1].T
+                                @ Wp[:j, base + r0:hi], out=block)
             j = 0
 
     def rotate_to_front(q: int):
         # cycle coordinates t..q one step so q lands at t; support inside
         # the rotated range can land anywhere up to q, hence the ext clamp.
         # Rows and columns before t are finished, and entries beyond the
-        # block follow orig, so only the block's [t, top) is moved.
+        # block follow orig, so only the block's [t, top) is moved. Every
+        # move is a slice shifted by one position
         if q == t:
             return
-        load(q + 1)
-        perm = np.concatenate(([q], np.arange(t, q)))
-        k = perm - base
-        rot = slice(t - base, q + 1 - base)
-        A[rot, q + 1 - base:top - base] = A[k, q + 1 - base:top - base]
-        # inside the moved range, position t takes q's row, which left of
-        # q is column q above the diagonal; every other position takes the
-        # row before it, so the rest of the triangle shifts down the diagonal
-        head = np.roll(A[rot, q - base], 1)
-        A[t + 1 - base:q + 1 - base, t + 1 - base:q + 1 - base] = \
-            A[t - base:q - base, t - base:q - base]
-        A[t - base, rot] = head
-        d[t:q + 1] = d[perm]
-        ext[t:q + 1] = ext[perm]
+        if q >= top:
+            load(q + 1)
+        i, k, end = t - base, q - base, top - base
+        # right of q, each row moves down one; inside the moved range,
+        # position t takes q's row, which left of q is column q above the
+        # diagonal, and the rest of the triangle shifts down the diagonal
+        cycle(A[i:k + 1, k + 1:end])
+        head = A[i:k + 1, k].copy()
+        A[i + 1:k + 1, i + 1:k + 1] = A[i:k, i:k]
+        A[i, i] = head[-1]
+        A[i, i + 1:k + 1] = head[:-1]
+        for x in (d[t:q + 1], ext[t:q + 1], Vp[:j, t:q + 1].T,
+                  Wp[:j, t:q + 1].T, rhs[t:q + 1], orig[t:q + 1]):
+            cycle(x)
         np.maximum(ext[t:q + 1], q + 1, out=ext[t:q + 1])
-        Vp[:j, t:q + 1] = Vp[:j, perm]
-        Wp[:j, t:q + 1] = Wp[:j, perm]
-        rhs[t:q + 1] = rhs[perm]
-        orig[t:q + 1] = orig[perm]
         pos[orig[t:q + 1]] = np.arange(t, q + 1)
 
     def reduce_and_find():

@@ -3,6 +3,7 @@ tables, checked against the dense oracle on small instances."""
 from __future__ import annotations
 
 import cmath
+import functools
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -10,12 +11,13 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import random_circuit
+from conftest import random_circuit, standard_corpus
 from quopitsim import (CapExceeded, Gate, amplitude, amplitude_table,
                        balance_weight, dense_amplitude, diagonalize,
                        extract_phase_polynomial, label_circuit, make_circuit,
-                       normalize_to_standard_form, probability, weil_sum)
-from quopitsim import evaluator
+                       normalize_to_standard_form, phase_polynomial_direct,
+                       probability, weil_sum)
+from quopitsim import evaluator, quadform
 from quopitsim.evaluator import phase_unit_exponent
 from quopitsim.fields import ExactScalar
 
@@ -255,3 +257,69 @@ def test_invariants_do_not_depend_on_tuples():
         base = balance_weight(c)
         assert reports[0].rank == base.rank
         assert reports[0].weight == base.weight
+
+
+def _canonical(c, a, b):
+    # the report of the canonical elimination, whatever amplitude routes
+    cn = normalize_to_standard_form(c)
+    q = phase_polynomial_direct(cn, a, b)
+    res = diagonalize(q.theta_entries, int(cn.modulus), eta=q.eta)
+    return evaluator.assemble_amplitude(cn, q, res.diagonal, res.mu)
+
+
+def test_reordered_route_reports_the_canonical_fields(monkeypatch):
+    # every form with alpha > 0 is eliminated in Cuthill-McKee order; on
+    # the corpus the report matches the canonical one field for field, |Z|
+    # included, also where the reordered elimination alone finds another |Z|
+    monkeypatch.setattr(quadform, "REORDER_BYTES", -10 ** 18)
+    z_moved = routed = 0
+    for c in standard_corpus():
+        p, n = int(c.modulus), c.n
+        for a, b in (((0,) * n, (1,) * n), ((1,) * n, (2,) * n)):
+            want = _canonical(c, a, b)
+            assert amplitude(c, a, b) == want
+            q = phase_polynomial_direct(normalize_to_standard_form(c), a, b)
+            order = quadform.envelope_order(q.theta_entries, p)
+            if order is None:
+                continue
+            routed += 1
+            res = diagonalize(q.theta_entries.permuted(order), p,
+                              eta=q.eta[order])
+            z_moved += int(np.count_nonzero(res.mu[res.diagonal == 0])) \
+                != want.z_size
+    assert routed > 300
+    assert z_moved > 0
+
+
+@functools.cache
+def _class_circuit(p: int, n: int):
+    # the benchmark's `large` (p = 3, n = 50) and `wide` (p = 10007,
+    # n = 200) classes: 10^4 gates, uniform over F, R and SUM
+    rng = np.random.default_rng(p * n)
+    c = random_circuit(rng, p, n, 10_000)
+    a = tuple(int(v) for v in rng.integers(0, p, size=n))
+    b = tuple(int(v) for v in rng.integers(0, p, size=n))
+    return c, a, b
+
+
+def test_wide_class_is_routed_and_large_class_is_not():
+    for (p, n), routed in (((10007, 200), True), ((3, 50), False)):
+        c, a, b = _class_circuit(p, n)
+        q = phase_polynomial_direct(normalize_to_standard_form(c), a, b)
+        order = quadform.envelope_order(q.theta_entries, p)
+        assert (order is not None) == routed
+
+
+def test_wide_amplitude_memory_is_bounded():
+    # the canonical elimination of this form (alpha = 3759) peaks at
+    # 138 MB, since its dense float64 block spans nearly every coordinate;
+    # in Cuthill-McKee order the peak was 90 MB
+    c, a, b = _class_circuit(10007, 200)
+    tracemalloc.start()
+    try:
+        rep = amplitude(c, a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep == _canonical(c, a, b)
+    assert peak < 115 * 2 ** 20, peak / 2 ** 20

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import quopitsim.oracle
-from quopitsim import (CapExceeded, Gate, brute_force_path_sum,
-                       dense_amplitude, dense_state, inverse_mod,
-                       make_circuit)
+from quopitsim import (CapExceeded, Gate, amplitude, brute_force_path_sum,
+                       dense_amplitude, dense_state, extract_phase_polynomial,
+                       inverse_mod, label_circuit, make_circuit)
 from quopitsim.oracle import chi_table, fourier_matrix, phase_vector
 from quopitsim.pathsum import QuadraticForm
 
@@ -169,3 +169,17 @@ def test_chi_table():
         assert abs(chi[0] - 1) < 1e-12
         assert abs(chi[1] - np.exp(2j * np.pi / p)) < 1e-12
         assert abs(np.sum(chi)) < 1e-12  # full character sum vanishes
+
+
+def test_reference_extractor_refuses_what_amplitude_refuses():
+    # Theta[0, 0] = 8 * 2^(-1) mod p sums eight residues near 2^60 in int64,
+    # which wraps past 2^63 into p - 4; the reference refuses this
+    # (p, alpha) with amplitude's error instead
+    p = 2 ** 61 - 1
+    c = make_circuit(p, 1, [Gate.fourier(0)] + [Gate.phase(0)] * 8
+                     + [Gate.fourier(0)])
+    with pytest.raises(ValueError) as extracted:
+        extract_phase_polynomial(label_circuit(c, (0,), (0,)))
+    with pytest.raises(ValueError) as evaluated:
+        amplitude(c, (0,), (0,))
+    assert str(extracted.value) == str(evaluated.value)

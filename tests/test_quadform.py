@@ -8,7 +8,7 @@ import pytest
 from quopitsim import quadform
 from quopitsim.oracle import diagonalize_reference, gf_rank, split_step
 from quopitsim.quadform import (DiagonalizationResult, SymmetricEntries,
-                                diagonalize)
+                                diagonalize, envelope_order)
 
 PRIMES = [3, 5, 7, 11, 13]
 
@@ -282,6 +282,120 @@ def test_symmetric_entries_round_trip():
         np.concatenate([S.cols, S.cols]), np.concatenate([S.vals, 5 - S.vals]))
     assert summed.vals.size == 0
     assert SymmetricEntries.coalesce(9, 5, S.rows, S.cols, 6 * S.vals) == S
+
+
+def test_permuted_is_the_congruence():
+    rng = np.random.default_rng(97)
+    for alpha in (0, 1, 9, 30):
+        A = random_symmetric(rng, alpha, 7, hollow=bool(alpha % 2))
+        S = SymmetricEntries.from_dense(A)
+        order = rng.permutation(alpha)
+        P = np.zeros((alpha, alpha), dtype=np.int64)
+        P[order, np.arange(alpha)] = 1
+        moved = S.permuted(order)
+        assert np.array_equal(np.asarray(moved), P.T @ A @ P)
+        assert moved == SymmetricEntries.from_dense(P.T @ A @ P)
+
+
+def _scrambled_band(rng, p: int, alpha: int, bw: int):
+    A = random_symmetric(rng, alpha, p)
+    r, c = np.indices(A.shape)
+    A[np.abs(r - c) > bw] = 0
+    order = rng.permutation(alpha)
+    return SymmetricEntries.from_dense(A[np.ix_(order, order)])
+
+
+def test_envelope_order_recovers_a_band(monkeypatch):
+    # a band scrambled by a random permutation has a window of nearly the
+    # whole matrix; Cuthill-McKee brings it back to a few times the band
+    rng = np.random.default_rng(61)
+    S = _scrambled_band(rng, 5, 300, 3)
+    # isolated coordinates, which have no off-diagonal entries, go last
+    S = SymmetricEntries.coalesce(305, 5, S.rows, S.cols, S.vals)
+    work = quadform._block_work(quadform._row_ends(305, S.rows, S.cols))
+    monkeypatch.setattr(quadform, "REORDER_BYTES", 0)
+    order = envelope_order(S, 5)
+    assert sorted(order.tolist()) == list(range(305))
+    assert set(order[300:].tolist()) == set(range(300, 305))
+    moved = S.permuted(order)
+    banded = quadform._block_work(quadform._row_ends(305, moved.rows,
+                                                     moved.cols))
+    assert banded * 100 < work
+    window = np.max(moved.cols - moved.rows)
+    assert window <= 4 * 3
+
+
+def test_envelope_order_pays_or_is_none(monkeypatch):
+    # float32 saves 4 bytes per entry of block work, float64 8: the order is
+    # offered exactly when itemsize * (W_canonical - W_reordered) reaches
+    # REORDER_BYTES per coordinate
+    rng = np.random.default_rng(67)
+    for p in (5, 10007):
+        S = _scrambled_band(rng, p, 200, 2)
+        itemsize = np.dtype(quadform._pick_dtype(200, p)).itemsize
+        canonical = quadform._block_work(quadform._row_ends(200, S.rows,
+                                                            S.cols))
+        monkeypatch.setattr(quadform, "REORDER_BYTES", 0)
+        moved = S.permuted(envelope_order(S, p))
+        saved = canonical - quadform._block_work(
+            quadform._row_ends(200, moved.rows, moved.cols))
+        assert saved > 0
+        bar = itemsize * saved // 200
+        monkeypatch.setattr(quadform, "REORDER_BYTES", bar)
+        assert envelope_order(S, p) is not None
+        monkeypatch.setattr(quadform, "REORDER_BYTES", bar + 1)
+        assert envelope_order(S, p) is None
+    # a band already in order saves nothing
+    S = SymmetricEntries.from_dense(np.eye(50, dtype=np.int64)
+                                    + np.eye(50, k=1, dtype=np.int64)
+                                    + np.eye(50, k=-1, dtype=np.int64))
+    monkeypatch.setattr(quadform, "REORDER_BYTES", 1)
+    assert envelope_order(S, 5) is None
+    assert envelope_order(SymmetricEntries.from_dense(
+        np.zeros((0, 0), dtype=np.int64)), 5) is None
+
+
+def test_order_is_not_built_when_it_cannot_pay(monkeypatch):
+    # itemsize * W_canonical below the bar: no saving can reach it, so the
+    # order is never computed
+    def refuse(S):
+        raise AssertionError("order built")
+    monkeypatch.setattr(quadform, "_cuthill_mckee", refuse)
+    S = _scrambled_band(np.random.default_rng(71), 5, 200, 2)
+    work = quadform._block_work(quadform._row_ends(200, S.rows, S.cols))
+    monkeypatch.setattr(quadform, "REORDER_BYTES", 4 * work // 200 + 1)
+    assert envelope_order(S, 5) is None
+
+
+def test_small_flushes_run_on_one_blas_thread(monkeypatch):
+    # every product below BLAS_SERIAL_MACS runs on one thread, every other
+    # one on the caller's count, which each flush restores on its way out,
+    # also when a product raises
+    calls = []
+    monkeypatch.setattr(quadform, "_openblas",
+                        lambda: (lambda: 3, calls.append))
+    monkeypatch.setattr(quadform, "PANEL", 4)
+    A = random_symmetric(np.random.default_rng(73), 40, 5)
+    eta = np.ones(40, dtype=np.int64)
+    _assert_same(diagonalize(A, 5, want_l=True, eta=eta),
+                 diagonalize_reference(A, 5), eta, 5)
+    assert calls and calls == [1, 3] * (len(calls) // 2)
+    calls.clear()
+    monkeypatch.setattr(quadform, "BLAS_SERIAL_MACS", 0)
+    diagonalize(A, 5)
+    assert calls == []
+    monkeypatch.setattr(quadform, "BLAS_SERIAL_MACS", 10 ** 9)
+    monkeypatch.setattr(quadform.np, "subtract", None)
+    with pytest.raises(TypeError):
+        diagonalize(A, 5)
+    assert calls == [1, 3]
+
+
+def test_missing_blas_library_is_ignored(monkeypatch):
+    monkeypatch.setattr(quadform, "_openblas", lambda: None)
+    A = random_symmetric(np.random.default_rng(79), 30, 7)
+    assert np.array_equal(diagonalize(A, 7).diagonal,
+                          diagonalize_reference(A, 7).diagonal)
 
 
 def test_zero_and_identity_matrices():
