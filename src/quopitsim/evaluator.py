@@ -141,7 +141,9 @@ def amplitude(c: Circuit, a, b) -> AmplitudeReport:
     When `quadform.envelope_order` offers an order, Theta is eliminated in
     it, with eta permuted alike. A reordered elimination that finds Z
     nonempty is redone in the canonical order, since |Z| depends on the
-    order, so every field of the report is the canonical one.
+    order, so every field of the report is the canonical one;
+    `envelope_order` charges for that rerun, so small p, where zero
+    amplitudes are common, stays canonical.
     """
     cn = normalize_to_standard_form(c)
     p = int(cn.modulus)

@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -75,6 +76,10 @@ FLUSH_ENTRIES = 1 << 20
 # `envelope_order` offers its order: the price of the extra rotations a
 # reordered run makes (see `envelope_order` for how it was measured)
 REORDER_BYTES = 5_000_000
+# a canonical elimination takes about this many times its flush work: the
+# flushes made 33-54% of it, profiled on the circuit classes that reorder.
+# `envelope_order` prices the canonical rerun of a zero amplitude with it
+ELIMINATION_PER_FLUSH = 3
 # flush products with fewer multiply-adds than this run on one BLAS thread:
 # waking a second thread that has gone idle costs about 10 ms, far more than
 # it saves on such a product
@@ -106,9 +111,14 @@ def _openblas():
 def _blas_threads():
     """Yield fit(macs), which sets the BLAS thread count for a product of
     that many multiply-adds: one thread below BLAS_SERIAL_MACS, the caller's
-    count otherwise. The caller's count is restored on the way out."""
+    count otherwise. The caller's count is restored on the way out.
+
+    The count is global to the process, so it is only changed while the
+    caller is the process's one Python thread: with another thread about,
+    whose products would run on the count set here, every product keeps the
+    caller's count."""
     api = _openblas()
-    if api is None:
+    if api is None or threading.active_count() > 1:
         yield lambda macs: None
         return
     get, put = api
@@ -116,7 +126,11 @@ def _blas_threads():
 
     def fit(macs: int):
         nonlocal now
-        want = 1 if macs < BLAS_SERIAL_MACS else caller
+        # checked per product: a thread started during a flush ends the
+        # switching at the next product
+        serial = (macs < BLAS_SERIAL_MACS
+                  and threading.active_count() == 1)
+        want = 1 if serial else caller
         if want != now:
             put(want)
             now = want
@@ -331,11 +345,15 @@ def envelope_order(S: SymmetricEntries, p: int) -> np.ndarray | None:
     The static block work W = sum over pivots t of (hi_t - t)^2, with hi_t
     the running maximum of the row ends, prices the panel flushes of an
     elimination in a given order in entries; it takes O(nnz) from the row
-    ends `diagonalize` computes. The order is returned when it saves at
-    least REORDER_BYTES per coordinate at the float type's item size:
-    itemsize * (W_canonical - W_reordered) >= REORDER_BYTES * alpha. When
-    itemsize * W_canonical alone is below that bar, no saving can reach it
-    and the order is not built.
+    ends `diagonalize` computes. The order is returned when the flush bytes
+    it saves at the float type's item size pay for two costs:
+
+        itemsize * (W_canonical - W_reordered)
+            >= REORDER_BYTES * alpha
+               + ELIMINATION_PER_FLUSH * itemsize * W_canonical / (p + 1)
+
+    When itemsize * W_canonical alone is below that bar, no saving can
+    reach it and the order is not built.
 
     REORDER_BYTES stands for the rotations a reordered run adds: eliminating
     a coordinate completes a square and leaves its partner with a zero
@@ -347,11 +365,25 @@ def envelope_order(S: SymmetricEntries, p: int) -> np.ndarray | None:
     p = 10007 on 50 registers), and Cuthill-McKee tied or won where it
     read at least 7.7e6 (p = 101 on 100 registers, p = 3 and p = 10007 on
     200).
+
+    The second term is the canonical rerun that a zero amplitude costs a
+    caller that reports |Z| (see `evaluator.amplitude`): a whole canonical
+    elimination, ELIMINATION_PER_FLUSH times its flush work, in about one
+    transition in p + 1. A uniformly random symmetric form over F_p is
+    singular with probability about p / (p^2 - 1), and a random eta then
+    gives a zero amplitude with probability 1 - 1/p. On 10^4-gate circuits
+    on 100 or 200 registers, 9 of 40 transitions were zero at p = 3, 8 of
+    30 at p = 5, 2 of 30 at p = 7, and none of 24 at p = 101 or
+    p = 10007. Reordering every one of those transitions cost p = 3 and
+    p = 5 4% and 11% in the mean over all their transitions, zeros
+    included, and saved p = 7 7%; the charge keeps p = 3 and p = 5 on 200
+    registers canonical and leaves p >= 7 as it was.
     """
     alpha = S.size
     itemsize = np.dtype(_pick_dtype(alpha, p)).itemsize
-    bar = REORDER_BYTES * alpha
     work = _block_work(_row_ends(alpha, S.rows, S.cols))
+    bar = (REORDER_BYTES * alpha
+           + ELIMINATION_PER_FLUSH * itemsize * work / (p + 1))
     if not alpha or itemsize * work < bar:
         return None
     order = _cuthill_mckee(S)
@@ -401,7 +433,12 @@ def diagonalize(theta, p: int, want_l: bool = False,
 
     Each flush product of fewer than BLAS_SERIAL_MACS multiply-adds runs on
     one thread of numpy's bundled OpenBLAS, when its thread count can be
-    set; each flush restores the caller's count on its way out.
+    set; each flush restores the caller's count on its way out. That count
+    is global to the process, so it is changed only while the caller is the
+    process's one Python thread: in a process with other Python threads,
+    every product runs on the caller's count. A BLAS product that some
+    non-Python thread runs during a single-threaded flush may run on one
+    thread.
     """
     if isinstance(theta, SymmetricEntries):
         S = theta

@@ -294,7 +294,7 @@ def test_reordered_route_reports_the_canonical_fields(monkeypatch):
 @functools.cache
 def _class_circuit(p: int, n: int):
     # the benchmark's `large` (p = 3, n = 50) and `wide` (p = 10007,
-    # n = 200) classes: 10^4 gates, uniform over F, R and SUM
+    # n = 200) classes, and others: 10^4 gates, uniform over F, R and SUM
     rng = np.random.default_rng(p * n)
     c = random_circuit(rng, p, n, 10_000)
     a = tuple(int(v) for v in rng.integers(0, p, size=n))
@@ -303,7 +303,10 @@ def _class_circuit(p: int, n: int):
 
 
 def test_wide_class_is_routed_and_large_class_is_not():
-    for (p, n), routed in (((10007, 200), True), ((3, 50), False)):
+    # p = 3 on 200 registers would save flush work too, but about one
+    # transition in four is a zero amplitude, which pays for both orders
+    for (p, n), routed in (((10007, 200), True), ((3, 50), False),
+                           ((3, 200), False)):
         c, a, b = _class_circuit(p, n)
         q = phase_polynomial_direct(normalize_to_standard_form(c), a, b)
         order = quadform.envelope_order(q.theta_entries, p)

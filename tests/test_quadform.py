@@ -2,6 +2,8 @@
 engine, and the Gaussian rank cross-check."""
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -328,23 +330,32 @@ def test_envelope_order_recovers_a_band(monkeypatch):
 def test_envelope_order_pays_or_is_none(monkeypatch):
     # float32 saves 4 bytes per entry of block work, float64 8: the order is
     # offered exactly when itemsize * (W_canonical - W_reordered) reaches
-    # REORDER_BYTES per coordinate
+    # REORDER_BYTES per coordinate plus the charge for a canonical rerun
     rng = np.random.default_rng(67)
     for p in (5, 10007):
         S = _scrambled_band(rng, p, 200, 2)
         itemsize = np.dtype(quadform._pick_dtype(200, p)).itemsize
         canonical = quadform._block_work(quadform._row_ends(200, S.rows,
                                                             S.cols))
-        monkeypatch.setattr(quadform, "REORDER_BYTES", 0)
+        monkeypatch.setattr(quadform, "REORDER_BYTES", -10 ** 18)
         moved = S.permuted(envelope_order(S, p))
         saved = canonical - quadform._block_work(
             quadform._row_ends(200, moved.rows, moved.cols))
         assert saved > 0
-        bar = itemsize * saved // 200
+        rerun = (quadform.ELIMINATION_PER_FLUSH * itemsize * canonical
+                 / (p + 1))
+        bar = int((itemsize * saved - rerun) // 200)
+        assert bar > 0
         monkeypatch.setattr(quadform, "REORDER_BYTES", bar)
         assert envelope_order(S, p) is not None
         monkeypatch.setattr(quadform, "REORDER_BYTES", bar + 1)
         assert envelope_order(S, p) is None
+    # the rerun charge alone keeps p = 3 canonical where p = 10007 reorders
+    S = _scrambled_band(rng, 3, 200, 2)
+    monkeypatch.setattr(quadform, "REORDER_BYTES", 0)
+    assert envelope_order(S, 3) is not None
+    monkeypatch.setattr(quadform, "ELIMINATION_PER_FLUSH", 4)
+    assert envelope_order(S, 3) is None
     # a band already in order saves nothing
     S = SymmetricEntries.from_dense(np.eye(50, dtype=np.int64)
                                     + np.eye(50, k=1, dtype=np.int64)
@@ -389,6 +400,73 @@ def test_small_flushes_run_on_one_blas_thread(monkeypatch):
     with pytest.raises(TypeError):
         diagonalize(A, 5)
     assert calls == [1, 3]
+
+
+def test_blas_threads_are_left_alone_beside_other_threads(monkeypatch):
+    # the thread count is global to the process, so with a second Python
+    # thread alive no flush changes it, and a thread started during a flush
+    # sends the next product back to the caller's count
+    calls = []
+    monkeypatch.setattr(quadform, "_openblas",
+                        lambda: (lambda: 3, calls.append))
+    monkeypatch.setattr(quadform, "PANEL", 4)
+    A = random_symmetric(np.random.default_rng(83), 40, 5)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert np.array_equal(diagonalize(A, 5).diagonal,
+                              diagonalize_reference(A, 5).diagonal)
+        assert calls == []
+    finally:
+        release.set()
+        other.join()
+    diagonalize(A, 5)
+    assert calls
+    calls.clear()
+    release.clear()
+    other = threading.Thread(target=release.wait)
+    with quadform._blas_threads() as fit:
+        fit(0)
+        other.start()
+        fit(0)
+        fit(0)
+    release.set()
+    other.join()
+    assert calls == [1, 3]
+
+
+def test_other_threads_never_see_the_serial_count():
+    # with the real library: a thread that reads the count while another
+    # diagonalizes, flushing only small products, reads the count it set
+    api = quadform._openblas()
+    if api is None:
+        pytest.skip("numpy's bundled OpenBLAS is not loaded")
+    get, put = api
+    before = get()
+    put(2)
+    try:
+        if get() != 2:
+            pytest.skip("OpenBLAS runs on one thread here")
+        A = random_symmetric(np.random.default_rng(89), 400, 5)
+        A[np.abs(np.subtract.outer(np.arange(400), np.arange(400))) > 40] = 0
+        seen, done = set(), threading.Event()
+
+        def watch():
+            while not done.is_set():
+                seen.add(get())
+        watcher = threading.Thread(target=watch)
+        watcher.start()
+        try:
+            for _ in range(5):
+                diagonalize(A, 5)
+        finally:
+            done.set()
+            watcher.join()
+        assert seen == {2}
+        assert get() == 2
+    finally:
+        put(before)
 
 
 def test_missing_blas_library_is_ignored(monkeypatch):
