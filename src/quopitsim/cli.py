@@ -204,7 +204,10 @@ def cmd_check(args) -> int:
           f"seed = {args.seed}")
     ok = _within_tolerance("dense", max_dense)
     if skip_path:
-        print(f"path_sum oracle skipped (p^alpha = {p ** alpha} > {PATH_ENUM_CAP})")
+        # p^alpha is printed as a power: expanded, it can pass the
+        # digit limit Python puts on int to str conversion
+        print(f"path_sum oracle skipped (p^alpha = {p}^{alpha} > "
+              f"{PATH_ENUM_CAP})")
     else:
         ok = _within_tolerance("path_sum", max_path) and ok
     return 0 if ok else 1

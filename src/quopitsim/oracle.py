@@ -114,7 +114,7 @@ def brute_force_path_sum(q, n: int) -> complex:
         return prefactor * cmath.exp(2j * cmath.pi * q.zeta / p)
     if p ** alpha > PATH_ENUM_CAP:
         raise CapExceeded(
-            f"path enumeration p^alpha = {p ** alpha} exceeds {PATH_ENUM_CAP}")
+            f"path enumeration p^alpha = {p}^{alpha} exceeds {PATH_ENUM_CAP}")
     # all points of F_p^alpha as rows, lexicographic
     grid = np.indices((p,) * alpha).reshape(alpha, -1).T
     theta = np.asarray(q.theta, dtype=np.int64)

@@ -8,9 +8,9 @@ instead of O(alpha) times. The panel width and the flush block size are
 module constants, not parameters. The panel buffers are indexed by position,
 like the diagonal and the right-hand sides, so only the dense block moves
 when the window loads, grows or slides. They are never cleared: a pivot
-writes its panel row only right of itself and inside the window, every read
-lies at or right of the current pivot and inside the window, and the window
-never shrinks. The one-peel-at-a-time ground truth,
+writes its panel row over the whole window, every read lies inside the
+current window, and neither end of the window ever moves back. The
+one-peel-at-a-time ground truth,
 `oracle.diagonalize_reference`, composes `oracle.split_step` literally; the
 tests require the same L and the same diagonal, entry for entry.
 
@@ -22,22 +22,28 @@ which puts 2*A[I,J] on the diagonal.
 Only a sliding block of coordinates is ever dense. Rank-one updates never
 reach past the running maximum of the pivot rows' support bounds, so every
 entry beyond the loaded block is still an untouched entry of A; a
-coordinate's entries are loaded when the window, a rotation or a fold first
-reaches it, and finished coordinates are dropped from the block. Memory is
+coordinate's entries are loaded when the window or a fold first reaches
+it, up to a panel's width ahead while the buffer has room, and finished
+coordinates are dropped from the block. Memory is
 O(nnz(A) + w^2 + PANEL * alpha) for a window of w coordinates.
 
 The block is symmetric, so only its upper triangle is kept current: loads
 write the entries on and above the diagonal, each panel flush updates a row
-block from its diagonal on, a rotation builds the moved rows from the
-triangle, and a fold adds row and column in it directly. Entries below the
-diagonal are stale and never read. Each pivot row, and the diagonal when
-the next pivot is sought, is reduced mod p through int64 rather than by a
-float mod; the casts are exact, since every value is an integer below 2^53
-in magnitude. Only a fold reduces the block itself, in place.
+block from its diagonal on, a pivot reads its row as its column above the
+diagonal and its row from the diagonal on, and a fold adds row and column
+in it directly. Entries below the diagonal are stale and never read. Each
+pivot row, and the diagonal when the next pivot is sought, is reduced mod p
+through int64 rather than by a float mod; the casts are exact, since every
+value is an integer below 2^53 in magnitude. Only a fold reduces the block
+itself, in place.
 
-A pivot rotation cycles positions t..q one step so that q lands at t. Each
-array it touches, the block's rows right of q and its triangle inside
-[t, q] included, moves by slices shifted one position, never by gathers.
+Each pivot is eliminated at the position where it stands. The coordinates
+it skipped, whose diagonal was zero, stay where they are, deferred, and the
+finished positions among them are masked out of later pivot rows. One
+stable compaction per panel clears these holes: the finished positions move
+to the front in pivot order and the deferred ones behind them in their
+order, so every flush, fold search and block move sees the live
+coordinates contiguous and in the order `oracle.split_step` keeps them.
 
 `diagonalize` eliminates in the order it is given, so its window is the
 envelope of A in that order, and it does not reorder. `envelope_order`
@@ -73,8 +79,8 @@ PANEL = 96
 # entries per row block of a panel flush; bounds its temporary
 FLUSH_ENTRIES = 1 << 20
 # flush bytes per coordinate that a reordered elimination must save before
-# `envelope_order` offers its order: the price of the extra rotations a
-# reordered run makes (see `envelope_order` for how it was measured)
+# `envelope_order` offers its order: the price of the order and of the
+# deferred pivots a reordered run makes (see `envelope_order`)
 REORDER_BYTES = 5_000_000
 # a canonical elimination takes about this many times its flush work: the
 # flushes made 33-54% of it, profiled on the circuit classes that reorder.
@@ -403,9 +409,17 @@ def diagonalize(theta, p: int, want_l: bool = False,
     oracle.diagonalize_reference entry for entry. The trailing matrix only
     receives one flush per PANEL pivots; the running diagonal and the
     current pivot row are patched from the panel buffers so pivot decisions
-    never see stale values. The panel buffers span all alpha positions and
-    are never cleared or moved: pivot t writes its row on [t + 1, hi) only,
-    and every read lies in [t, hi) of a later pivot. Only the block's upper
+    never see stale values. Each pivot is eliminated where it stands:
+    the zero-diagonal coordinates it skipped stay in place, deferred, and
+    a mask keeps the finished positions out of later pivot rows. Before
+    each flush, before the fold search and before the block grows or
+    slides, one stable compaction moves the finished positions of the
+    window to its front in pivot order and the deferred ones behind them,
+    so lambda, mu and L come out in pivot order and the pivot sequence is
+    the reference's. The panel buffers span all alpha positions and are
+    never cleared: a pivot writes its row over the whole window [t, hi),
+    every read lies in the window of a later pivot, and a compaction moves
+    the pending rows' columns with their coordinates. Only the block's upper
     triangle is current; nothing reads below its diagonal. Arithmetic stays
     exact: entries are integers carried in floats small enough to be exact,
     reduced mod p only when read (the pivot row and the diagonal scan
@@ -420,13 +434,14 @@ def diagonalize(theta, p: int, want_l: bool = False,
     with or without want_l; `--explain` relies on that to print L from the
     same run that gives its answer.
 
-    All elimination work is confined to a sliding window [t, hi): pivot t's
+    All elimination work is confined to a sliding window [t, hi): a pivot's
     update row vanishes at and beyond the running maximum hi of the per-row
     support bounds seen so far, because rank-one updates never create fill
     to the right of the rows that produced them. Only the block [t, top)
     with top >= hi is held dense; coordinates from top on still carry their
-    original entries, which are loaded when the window, a rotation or a fold
-    first reaches them. Memory is O(nnz(theta) + w^2 + PANEL * alpha) for
+    original entries, which are loaded when the window or a fold first
+    reaches them, up to PANEL coordinates ahead while the buffer has room.
+    Memory is O(nnz(theta) + w^2 + PANEL * alpha) for
     a block of w coordinates; matrices from circuits are close to banded, so
     the block is usually much narrower than the matrix. theta is eliminated
     in the order given; `envelope_order` says when another order pays.
@@ -460,18 +475,18 @@ def diagonalize(theta, p: int, want_l: bool = False,
     lam = np.zeros(alpha, dtype=np.int64)
     ext = _row_ends(alpha, rows, cols)
     # coordinate orig[k] of A sits at position k; pos is the inverse. Only
-    # rotations permute, and only inside the loaded block.
+    # compactions permute, and only inside [t, front)
     orig = np.arange(alpha)
     pos = np.arange(alpha)
     # the dense block: position k at A[k - base], for base <= t <= k < top
     A = np.zeros((0, 0), dtype=dtype)
     # the panel buffers, indexed by position like d and rhs, one row per
-    # pending pivot: pivot t_j writes Vp[j] = wv_j and Wp[j] = row_j on
-    # [t_j + 1, hi) only. Nothing clears them: every read lies at or right
-    # of the current pivot and left of hi, hi never decreases, and a row
-    # holds values only left of the hi of its last write or rotation, so a
-    # reused row's old values lie left of its new pivot or under its new
-    # write
+    # pending pivot: pivot j writes Vp[j] = wv_j and Wp[j] = row_j over its
+    # window [t, hi), zero at finished positions. Nothing clears them: every
+    # read lies in the window of the current step, neither of whose ends
+    # moves back, a row holds values only left of the hi of its last write,
+    # so a reused row's old values lie left of t or under its new write, and
+    # a compaction moves the pending rows' columns with their coordinates
     Vp = np.zeros((PANEL, alpha), dtype=dtype)
     Wp = np.zeros((PANEL, alpha), dtype=dtype)
     base = top = 0
@@ -483,18 +498,44 @@ def diagonalize(theta, p: int, want_l: bool = False,
     if want_l:
         np.fill_diagonal(rhs[:, m:], 1)
 
-    def cycle(x):
-        # x's last row to the front, the others down one
-        old = x.copy()
-        x[1:] = old[:-1]
-        x[0] = old[-1]
-
-    t = 0
+    # positions before t are finished, in pivot order. In [t, front) lie
+    # the pivots made since the last compaction, at the positions in holes
+    # (in pivot order) and marked in done, and the deferred coordinates,
+    # whose diagonal was zero when a pivot right of them was taken; no
+    # position from front on has been a pivot
+    t = front = 0
+    holes = []
+    done = np.zeros(alpha, dtype=bool)
     j = 0  # pending panel rows
     hi = 0  # window end; grows monotonically
 
+    def compact():
+        # move the finished positions of [t, front) to its front in pivot
+        # order and the deferred ones behind them in their order. A deferred
+        # row keeps its upper triangle: it meets the other deferred ones in
+        # the same order, and the positions from front on do not move. Its
+        # support inside [t, front) stays below hi, so ext needs no clamp
+        nonlocal t, holes
+        if not holes:
+            return
+        live = t + np.flatnonzero(~done[t:front])
+        moved = np.concatenate((holes, live))
+        rhs[t:front] = rhs[moved]
+        orig[t:front] = orig[moved]
+        pos[orig[t:front]] = np.arange(t, front)
+        t += len(holes)
+        holes = []
+        if live.size:
+            for x in (d, ext, Vp[:j].T, Wp[:j].T):
+                x[t:front] = x[live]
+            r, k, f, end = live - base, t - base, front - base, top - base
+            A[k:f, f:end] = A[r, f:end]
+            A[k:f, k:f] = A[np.ix_(r, r)]
+            done[t:front] = False
+
     def load(end: int):
-        # extend the block to [t, end). An entry between a loaded position
+        # extend the block to [t, end), and up to PANEL columns further
+        # that the buffer already holds. An entry between a loaded position
         # and a coordinate c >= top is still A's original entry of orig
         # there, since no update reaches past hi <= top, so coordinate c
         # loads as its original column. Finished positions have no entry
@@ -502,8 +543,10 @@ def diagonalize(theta, p: int, want_l: bool = False,
         nonlocal A, base, top
         if end <= top:
             return
-        live, size = top - t, end - t
         if end - base > A.shape[0]:
+            # the grow policy and the moves below see only live positions
+            compact()
+            live, size = top - t, end - t
             # grow to half again the block when it would fill more than
             # three quarters of the buffer, else slide it to the front, which
             # frees at least a quarter: either way O(w^2) copying buys O(w)
@@ -527,6 +570,7 @@ def diagonalize(theta, p: int, want_l: bool = False,
                     A[r0:r1, :live] = A[r0 + shift:r1 + shift,
                                         shift:shift + live]
             base = t
+        end = min(alpha, end + PANEL, base + A.shape[0])
         # only the new columns' upper triangle: every loaded entry sits
         # above the diagonal, since pos[r] < top <= c or pos[r] = r <= c
         old, new = top - base, end - base
@@ -546,9 +590,11 @@ def diagonalize(theta, p: int, want_l: bool = False,
             r0 = r1
 
     def flush():
-        # each row block is updated from its diagonal on, so only the upper
-        # triangle (and the lower half of the blocks' diagonal squares) moves
+        # compact, then update each row block from its diagonal on, so only
+        # the upper triangle (and the lower half of the blocks' diagonal
+        # squares) moves
         nonlocal j
+        compact()
         if j:
             end = hi - base
             with _blas_threads() as fit_threads:
@@ -558,31 +604,6 @@ def diagonalize(theta, p: int, want_l: bool = False,
                     np.subtract(block, Vp[:j, base + r0:base + r1].T
                                 @ Wp[:j, base + r0:hi], out=block)
             j = 0
-
-    def rotate_to_front(q: int):
-        # cycle coordinates t..q one step so q lands at t; support inside
-        # the rotated range can land anywhere up to q, hence the ext clamp.
-        # Rows and columns before t are finished, and entries beyond the
-        # block follow orig, so only the block's [t, top) is moved. Every
-        # move is a slice shifted by one position
-        if q == t:
-            return
-        if q >= top:
-            load(q + 1)
-        i, k, end = t - base, q - base, top - base
-        # right of q, each row moves down one; inside the moved range,
-        # position t takes q's row, which left of q is column q above the
-        # diagonal, and the rest of the triangle shifts down the diagonal
-        cycle(A[i:k + 1, k + 1:end])
-        head = A[i:k + 1, k].copy()
-        A[i + 1:k + 1, i + 1:k + 1] = A[i:k, i:k]
-        A[i, i] = head[-1]
-        A[i, i + 1:k + 1] = head[:-1]
-        for x in (d[t:q + 1], ext[t:q + 1], Vp[:j, t:q + 1].T,
-                  Wp[:j, t:q + 1].T, rhs[t:q + 1], orig[t:q + 1]):
-            cycle(x)
-        np.maximum(ext[t:q + 1], q + 1, out=ext[t:q + 1])
-        pos[orig[t:q + 1]] = np.arange(t, q + 1)
 
     def reduce_and_find():
         # reduce the block's upper triangle mod p and return the row-major
@@ -609,18 +630,20 @@ def diagonalize(theta, p: int, want_l: bool = False,
                 found = (int(r[k]), int(c[k]))
         return found
 
-    while t < alpha:
-        hits = np.flatnonzero(d[t:t + 64].astype(np.int64) % p)
-        if not hits.size and t + 64 < alpha:
-            hits = np.flatnonzero(d[t + 64:].astype(np.int64) % p)
+    while t + len(holes) < alpha:
+        # finished positions keep a zero diagonal, so the first nonzero
+        # entry from t on is the first live one
+        hits = np.flatnonzero(d[t:front + 64].astype(np.int64) % p)
+        if not hits.size and front + 64 < alpha:
+            hits = np.flatnonzero(d[front + 64:].astype(np.int64) % p)
             if hits.size:
-                hits = hits + 64
+                hits = hits + (front + 64 - t)
         if hits.size:
-            rotate_to_front(t + int(hits[0]))
+            u = t + int(hits[0])
         else:
-            # diagonal exhausted: reduce the block and look for an
-            # off-diagonal pivot to fold in; its rows' supports end by
-            # ext[I] and ext[J], so only that far is loaded
+            # diagonal exhausted: flush, which compacts, reduce the block
+            # and look for an off-diagonal pivot to fold in; its rows'
+            # supports end by ext[I] and ext[J], so only that far is loaded
             flush()
             found = reduce_and_find()
             if found is None:
@@ -639,30 +662,46 @@ def diagonalize(theta, p: int, want_l: bool = False,
             d[t:top] = A[lo:end, lo:end].diagonal()
             ext[I] = max(int(ext[I]), int(ext[J]), hi)
             rhs[I] = rhs[I] % p + rhs[J] % p
-            rotate_to_front(I)
+            u = I
 
-        hi = max(hi, t + 1, int(ext[t]))
-        load(hi)
-        a = int(d[t]) % p
-        lam[t] = a
+        hi = max(hi, u + 1, int(ext[u]))
+        if hi > top:
+            # a load that grows or slides the block compacts it first
+            coord = orig[u]
+            load(hi)
+            u = int(pos[coord])
+        a = int(d[u]) % p
+        lam[t + len(holes)] = a
         ainv = inverse_mod(a, p)
-        row = A[t - base, t + 1 - base:hi - base]
+        # the pivot row over [t, hi): column u above the diagonal, then row
+        # u from the diagonal on; finished positions, u's own included, are
+        # masked out
+        i, k, end = t - base, u - base, hi - base
+        row = np.concatenate((A[i:k, k], A[k, k:end]))
         if j:
-            row = row - Vp[:j, t] @ Wp[:j, t + 1:hi]
+            row -= Vp[:j, u] @ Wp[:j, t:hi]
         # reduced through int64, exact for these integers below 2^53 and
         # much cheaper than a float mod
         ri = row.astype(np.int64) % p
+        done[u] = True
+        front = max(front, u + 1)
+        ri[:front - t][done[t:front]] = 0
         row = ri.astype(dtype)
         wv = (ri * ainv % p).astype(dtype)
-        d[t + 1:hi] -= wv * row
-        Vp[j, t + 1:hi] = wv
-        Wp[j, t + 1:hi] = row
-        rhs[t + 1:hi] -= wv[:, None] * (rhs[t] % p)
-        t += 1
+        d[t:hi] -= wv * row
+        d[u] = 0
+        Vp[j, t:hi] = wv
+        Wp[j, t:hi] = row
+        rhs[t:hi] -= wv[:, None] * (rhs[u] % p)
+        if u == t and not holes:
+            t += 1
+        else:
+            holes.append(u)
         j += 1
         if j == PANEL:
             flush()
 
+    compact()
     rank = int(np.count_nonzero(lam))
     np.mod(rhs, p, out=rhs)
     rhs = rhs.astype(np.int64)

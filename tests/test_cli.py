@@ -141,7 +141,18 @@ def test_check_skips_enumeration_when_too_large(capsys, circuit_file):
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "p = 3, n = 2, alpha = 13, trials = 3, seed = 0"
-    assert lines[2] == "path_sum oracle skipped (p^alpha = 1594323 > 1000000)"
+    assert lines[2] == "path_sum oracle skipped (p^alpha = 3^13 > 1000000)"
+
+
+def test_check_names_a_power_past_the_int_digit_limit(capsys, circuit_file):
+    # alpha = 9099: 3^alpha has 4342 digits, more than Python >= 3.11 turns
+    # into a string, so the note prints the power and check still exits 0
+    path = circuit_file("p 3\nn 1\n" + "F 0\n" * 9100)
+    code, out, err = run(capsys, ["check", "-c", path, "--trials", "1"])
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == "p = 3, n = 1, alpha = 9099, trials = 1, seed = 0"
+    assert lines[2] == "path_sum oracle skipped (p^alpha = 3^9099 > 1000000)"
 
 
 @pytest.mark.parametrize("trials", ["0", "-2"])

@@ -10,6 +10,7 @@ from quopitsim import (CapExceeded, Gate, amplitude, brute_force_path_sum,
                        inverse_mod, label_circuit, make_circuit)
 from quopitsim.oracle import chi_table, fourier_matrix, phase_vector
 from quopitsim.pathsum import QuadraticForm
+from quopitsim.quadform import SymmetricEntries
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -160,6 +161,16 @@ def test_path_sum_cap():
     q = QuadraticForm(3, np.zeros((alpha, alpha), dtype=np.int64),
                       np.zeros(alpha, dtype=np.int64), 0)
     with pytest.raises(CapExceeded):
+        brute_force_path_sum(q, 1)
+
+
+def test_path_sum_cap_message_past_the_int_digit_limit():
+    # 3^9100 has 4342 digits, more than Python >= 3.11 turns into a string,
+    # so the message names the power rather than its value
+    empty = np.zeros(0, dtype=np.int64)
+    q = QuadraticForm(3, SymmetricEntries(9100, empty, empty, empty),
+                      np.zeros(9100, dtype=np.int64), 0)
+    with pytest.raises(CapExceeded, match=r"p\^alpha = 3\^9100 exceeds"):
         brute_force_path_sum(q, 1)
 
 

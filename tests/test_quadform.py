@@ -136,7 +136,7 @@ def test_blocked_small_panels(monkeypatch):
 
 def test_blocked_banded_and_scattered(monkeypatch):
     # banded inputs keep the elimination window narrow, and scattered
-    # supports force pivot rotations that jump past the window's edge
+    # supports force pivots that lie past the window's edge
     rng = np.random.default_rng(59)
     for _ in range(60):
         p = int(rng.choice(PRIMES))
@@ -168,7 +168,7 @@ def _banded_with_zero_stretches(rng, p: int, alpha: int,
     # bandwidth 3, and stretches of `length` coordinates with a zero
     # diagonal that the band before them does not reach: at a stretch the
     # first nonzero diagonal entry lies far past the loaded block, so the
-    # pivot rotation has to load up to it
+    # block has to load up to it while the stretch stays deferred
     A = random_symmetric(rng, alpha, p)
     r, c = np.indices(A.shape)
     A[np.abs(r - c) > 3] = 0
@@ -243,6 +243,119 @@ def test_sliding_window_matches_reference(p, A, monkeypatch):
     for panel in (7, 96):
         monkeypatch.setattr(quadform, "PANEL", panel)
         _assert_same(diagonalize(A, p, want_l=True, eta=eta), ref, eta, p)
+
+
+COMPACTION_PANELS = (1, 2, 3, 7, 96)
+
+
+def _assert_panels_match(A, p: int, monkeypatch, panels=COMPACTION_PANELS):
+    # every panel width, with L and a two-column eta, entry for entry
+    ref = diagonalize_reference(A, p)
+    eta = np.random.default_rng(len(A)).integers(0, p, size=(len(A), 2))
+    for panel in panels:
+        monkeypatch.setattr(quadform, "PANEL", panel)
+        _assert_same(diagonalize(A, p, want_l=True, eta=eta), ref, eta, p)
+
+
+def _band_with_deferred(rng, p: int, alpha: int, partners) -> np.ndarray:
+    # a band of nonzero diagonal entries in which each coordinate z of
+    # partners has a zero diagonal and meets only the coordinates
+    # partners[z]: z is deferred until the first of them is eliminated,
+    # which gives z a nonzero diagonal, and z is then the next pivot, left
+    # of the one that revived it
+    A = random_symmetric(rng, alpha, p)
+    r, c = np.indices(A.shape)
+    A[np.abs(r - c) > 2] = 0
+    np.fill_diagonal(A, rng.integers(1, p, size=alpha))
+    for z, others in partners.items():
+        A[z] = A[:, z] = 0
+        for w in others:
+            A[z, w] = A[w, z] = rng.integers(1, p)
+    return A
+
+
+@pytest.mark.parametrize("p", [5, 10007])
+def test_deferred_coordinate_outlives_several_panels(p, monkeypatch):
+    # 20 waits for 190 and 25 for 110, so each stays deferred while whole
+    # panels of pivots finish left and right of it, and compactions move
+    # it along
+    A = _band_with_deferred(np.random.default_rng(101), p, 200,
+                            {20: (190,), 25: (110,)})
+    _assert_panels_match(A, p, monkeypatch)
+
+
+@pytest.mark.parametrize("p", [3, 7, 10007])
+def test_revived_coordinate_pivots_left_of_an_earlier_pivot(p, monkeypatch):
+    # [[0, 1], [1, 1]]: 1 is the first pivot, and it revives 0, which is
+    # eliminated second, so lambda, mu and L are in pivot order
+    A = np.array([[0, 1], [1, 1]])
+    res = diagonalize(A, p, want_l=True, eta=np.array([1, 2]))
+    assert res.diagonal.tolist() == [1, p - 1]
+    assert res.mu.tolist() == [2, (1 - 2) % p]
+    _assert_panels_match(A, p, monkeypatch)
+    # revivals inside one panel, one after another, and a coordinate that
+    # waits for a revived one: 11 is revived by 12 and then revives 10
+    A = _band_with_deferred(np.random.default_rng(103), p, 60,
+                            {5: (8,), 10: (11, 14), 11: (12,), 30: (31,)})
+    _assert_panels_match(A, p, monkeypatch)
+
+
+def test_block_grows_and_slides_while_deferred(monkeypatch):
+    # a revived coordinate whose row reaches far past the block, and long
+    # zero stretches whose next pivot lies far past it, so the block must
+    # grow or slide in the middle of a panel; flushes in row blocks of a
+    # few rows
+    rng = np.random.default_rng(107)
+    monkeypatch.setattr(quadform, "FLUSH_ENTRIES", 50)
+    for p in (5, 10007):
+        A = _band_with_deferred(rng, p, 160, {20: (30, 150), 40: (130,)})
+        _assert_panels_match(A, p, monkeypatch)
+        A = _banded_with_zero_stretches(rng, p, 160, starts=(20, 90),
+                                        length=40)
+        _assert_panels_match(A, p, monkeypatch)
+
+
+def test_block_buffer_holds_only_live_coordinates(monkeypatch):
+    # a diagonal form whose coordinate 0 waits for the last one: the live
+    # block is that coordinate and the pivot, so the buffer stays small.
+    # Without a compaction before each grow, the pivots finished since the
+    # last flush would stay in the block and grow it to a panel's width
+    alpha = 400
+    v = np.arange(alpha) % 4 + 1
+    A = np.diag(v)
+    A[0, 0] = 0
+    A[0, -1] = A[-1, 0] = 1
+    sides = []
+    zeros = np.zeros
+
+    def record(shape, *args, **kwargs):
+        if isinstance(shape, tuple) and len(shape) == 2:
+            sides.append(shape[0])
+        return zeros(shape, *args, **kwargs)
+    monkeypatch.setattr(quadform.np, "zeros", record)
+    res = diagonalize(A, 5)
+    monkeypatch.undo()
+    # 1 .. alpha - 1 in order, then 0, revived to -1/v[-1]
+    assert res.diagonal.tolist() == [*v[1:], (-pow(int(v[-1]), -1, 5)) % 5]
+    # the panel buffers and the right-hand sides are the only wide arrays
+    blocks = [s for s in sides if s not in (quadform.PANEL, alpha)]
+    assert blocks and max(blocks) <= 8
+
+
+def test_fold_follows_a_compaction(monkeypatch):
+    # a band with a deferred coordinate, then a hollow block that it meets:
+    # once the band is eliminated every diagonal entry left is zero, so the
+    # fold search runs while the band's pivots still leave holes, and the
+    # first fold is on the deferred coordinate after it has moved
+    rng = np.random.default_rng(109)
+    for p in (3, 10007):
+        A = np.zeros((100, 100), dtype=np.int64)
+        A[:60, :60] = _band_with_deferred(rng, p, 60, {10: ()})
+        hollow = random_symmetric(rng, 40, p, hollow=True)
+        hollow[rng.random((40, 40)) < 0.8] = 0
+        A[60:, 60:] = np.triu(hollow) + np.triu(hollow, 1).T
+        A[10, 80] = A[80, 10] = 1
+        _assert_panels_match(A, p, monkeypatch)
 
 
 @pytest.mark.parametrize("p, next_p, alpha, dtype", [
