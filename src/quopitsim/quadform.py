@@ -81,7 +81,7 @@ FLUSH_ENTRIES = 1 << 20
 # flush bytes per coordinate that a reordered elimination must save before
 # `envelope_order` offers its order: the price of the order and of the
 # deferred pivots a reordered run makes (see `envelope_order`)
-REORDER_BYTES = 5_000_000
+REORDER_BYTES = 2_000_000
 # a canonical elimination takes about this many times its flush work: the
 # flushes made 33-54% of it, profiled on the circuit classes that reorder.
 # `envelope_order` prices the canonical rerun of a zero amplitude with it
@@ -361,16 +361,18 @@ def envelope_order(S: SymmetricEntries, p: int) -> np.ndarray | None:
     When itemsize * W_canonical alone is below that bar, no saving can
     reach it and the order is not built.
 
-    REORDER_BYTES stands for the rotations a reordered run adds: eliminating
-    a coordinate completes a square and leaves its partner with a zero
-    diagonal, which the first-nonzero pivot rule then pushes back one slot
-    per pivot, so such a run rotates at almost every pivot. It was set
-    between two groups of circuit classes (10^4 gates, best of 3
-    diagonalizations each order, 2 vCPUs): the canonical order was faster
-    where the saving per coordinate read at most 1.6e6 (p = 3 and
-    p = 10007 on 50 registers), and Cuthill-McKee tied or won where it
-    read at least 7.7e6 (p = 101 on 100 registers, p = 3 and p = 10007 on
-    200).
+    REORDER_BYTES stands for what a reordered run adds besides its
+    flushes: building the order and the permuted entries, 10-34 ms at
+    alpha of about 3500-3800, and the pivots it defers, since eliminating a
+    coordinate completes a square and leaves its partner with a zero
+    diagonal, which the first-nonzero rule skips until a later pivot
+    revives it. It sits between two groups of circuit classes (10^4 gates,
+    best of 3 diagonalizations each order, 2 circuits per class, 2 vCPUs):
+    where the saving per coordinate read at most 1.1e6 (p = 3 and
+    p = 10007 on 50 registers), Cuthill-McKee took 0.89-1.01 of the
+    canonical time, which building the order makes a tie; where it read
+    3.5e6 or more (p = 101 on 100 registers, p = 3, 5, 7 and 10007 on 200),
+    it took 0.52-0.82.
 
     The second term is the canonical rerun that a zero amplitude costs a
     caller that reports |Z| (see `evaluator.amplitude`): a whole canonical
@@ -380,10 +382,11 @@ def envelope_order(S: SymmetricEntries, p: int) -> np.ndarray | None:
     gives a zero amplitude with probability 1 - 1/p. On 10^4-gate circuits
     on 100 or 200 registers, 9 of 40 transitions were zero at p = 3, 8 of
     30 at p = 5, 2 of 30 at p = 7, and none of 24 at p = 101 or
-    p = 10007. Reordering every one of those transitions cost p = 3 and
-    p = 5 4% and 11% in the mean over all their transitions, zeros
-    included, and saved p = 7 7%; the charge keeps p = 3 and p = 5 on 200
-    registers canonical and leaves p >= 7 as it was.
+    p = 10007. The charge keeps p = 3 canonical (0 of 12 transitions on 200
+    registers reordered). p = 5 and p = 7 on 200 registers reorder 15 of
+    16 transitions, p = 101 on 100 all 16, and their mean time over all
+    transitions, zeros included, was 17%, 17.5% and 25% below the
+    canonical order's.
     """
     alpha = S.size
     itemsize = np.dtype(_pick_dtype(alpha, p)).itemsize
