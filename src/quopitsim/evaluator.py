@@ -180,7 +180,9 @@ def amplitude_table(c: Circuit, a) -> list[AmplitudeReport]:
     n = cn.n
     total = p ** n
     if total > TABLE_CAP:
-        raise CapExceeded(f"table has {p}^{n} = {total} rows, cap is {TABLE_CAP}")
+        # a power, not its value: that can pass the digit limit Python
+        # puts on int to str conversion
+        raise CapExceeded(f"table has {p}^{n} rows, cap is {TABLE_CAP}")
     q0, rows = _extract_b_free(cn, a)
     rhs = np.column_stack([q0.eta, rows[:, 1:].T])
     res = diagonalize(q0.theta_entries, p, eta=rhs)

@@ -81,7 +81,7 @@ def dense_state(c: Circuit, a) -> np.ndarray:
     """Evolve |a> through the circuit; axis i of the result is register i."""
     p, n = int(c.modulus), c.n
     if p ** n > DENSE_DIM_CAP:
-        raise CapExceeded(f"dense dimension p^n = {p ** n} exceeds {DENSE_DIM_CAP}")
+        raise CapExceeded(f"dense dimension p^n = {p}^{n} exceeds {DENSE_DIM_CAP}")
     if p * p > DENSE_GATE_CAP:
         raise CapExceeded(f"dense gate size p^2 = {p * p} exceeds {DENSE_GATE_CAP}")
     if len(a) != n:

@@ -47,10 +47,11 @@ coordinates contiguous and in the order `oracle.split_step` keeps them.
 
 `diagonalize` eliminates in the order it is given, so its window is the
 envelope of A in that order, and it does not reorder. `envelope_order`
-offers a Cuthill-McKee order (Cuthill and McKee 1969; George and Liu 1981)
-when a static estimate of the flush work says eliminating in it pays; the
-caller then eliminates `S.permuted(order)` with its right-hand sides
-permuted alike. That is a congruence, so the rank, the square class of the
+offers a Cuthill-McKee order (Cuthill and McKee 1969), one breadth-first
+search from a coordinate of least degree in each component, when a static
+estimate of the flush work says eliminating in it pays; the caller then
+eliminates `S.permuted(order)` with its right-hand sides permuted alike.
+That is a congruence, so the rank, the square class of the
 nonzero diagonal's product and, with eta permuted alike, whether some
 coordinate has lambda_i = 0 and mu_i != 0 do not change; the diagonal, L,
 mu and the count of such coordinates are those of the permuted form.
@@ -79,8 +80,8 @@ PANEL = 96
 # entries per row block of a panel flush; bounds its temporary
 FLUSH_ENTRIES = 1 << 20
 # flush bytes per coordinate that a reordered elimination must save before
-# `envelope_order` offers its order: the price of the order and of the
-# deferred pivots a reordered run makes (see `envelope_order`)
+# `envelope_order` offers its order: the price of building the order and
+# the permuted entries (see `envelope_order`)
 REORDER_BYTES = 2_000_000
 # a canonical elimination takes about this many times its flush work: the
 # flushes made 33-54% of it, profiled on the circuit classes that reorder.
@@ -208,11 +209,9 @@ class SymmetricEntries:
         """P^T A P for the permutation matrix with P[order[k], k] = 1:
         position k holds coordinate order[k]."""
         rows, cols = _moved(order, self.rows, self.cols)
-        # distinct positions stay distinct, so nothing is summed, and any
-        # modulus above the values leaves them as they are
-        return SymmetricEntries.coalesce(
-            self.size, int(self.vals.max(initial=0)) + 1, rows, cols,
-            self.vals)
+        # distinct positions stay distinct: only the sort is left to redo
+        k = np.argsort(cols * self.size + rows)
+        return SymmetricEntries(self.size, rows[k], cols[k], self.vals[k])
 
     def dense_rows(self):
         """Yield the dense int64 rows in order through one reused buffer,
@@ -296,31 +295,11 @@ def _block_work(ext: np.ndarray) -> int:
     return int(np.square(hi - np.arange(len(ext))).sum())
 
 
-def _levels(ptr, nbr, start: int, seen: np.ndarray):
-    # breadth-first levels from start in Cuthill-McKee order: each level
-    # lists the unseen neighbours of the level before, parent by parent and
-    # each parent's in nbr's order; marks them in seen
-    level = np.array([start])
-    seen[start] = True
-    while level.size:
-        yield level
-        lo, counts = ptr[level], ptr[level + 1] - ptr[level]
-        offsets = np.cumsum(counts) - counts
-        reach = nbr[np.repeat(lo - offsets, counts) + np.arange(counts.sum())]
-        reach = reach[~seen[reach]]
-        # a coordinate reached by several parents goes with the first
-        k = np.arange(len(reach))
-        first = np.full(len(seen), len(reach))
-        np.minimum.at(first, reach, k)
-        level = reach[first[reach] == k]
-        seen[level] = True
-
-
 def _cuthill_mckee(S: SymmetricEntries) -> np.ndarray:
     """A Cuthill-McKee order of S's off-diagonal pattern: breadth first from
-    a pseudo-peripheral coordinate of each connected component (George and
-    Liu's search), neighbours by increasing degree, and coordinates without
-    off-diagonal entries last."""
+    an unseen coordinate of least degree, once per connected component,
+    each level's unseen neighbours parent by parent and each parent's by
+    increasing degree, and coordinates without off-diagonal entries last."""
     off = S.rows != S.cols
     r = np.concatenate((S.rows[off], S.cols[off]))
     c = np.concatenate((S.cols[off], S.rows[off]))
@@ -331,15 +310,19 @@ def _cuthill_mckee(S: SymmetricEntries) -> np.ndarray:
     seen = deg == 0
     parts = []
     while not seen.all():
-        start = int(np.argmin(np.where(seen, S.size, deg)))
-        depth = 0
-        while True:
-            levels = list(_levels(ptr, nbr, start, seen.copy()))
-            if len(levels) <= depth:
-                break
-            depth, last = len(levels), levels[-1]
-            start = int(last[np.argmin(deg[last])])
-        parts += _levels(ptr, nbr, start, seen)
+        level = np.array([np.argmin(np.where(seen, S.size, deg))])
+        seen[level] = True
+        while level.size:
+            parts.append(level)
+            lo, counts = ptr[level], ptr[level + 1] - ptr[level]
+            offsets = np.cumsum(counts) - counts
+            reach = nbr[np.repeat(lo - offsets, counts)
+                        + np.arange(counts.sum())]
+            reach = reach[~seen[reach]]
+            # a coordinate reached by several parents goes with the first
+            _, first = np.unique(reach, return_index=True)
+            level = reach[np.sort(first)]
+            seen[level] = True
     parts.append(np.flatnonzero(deg == 0))
     return np.concatenate(parts)
 
@@ -362,17 +345,14 @@ def envelope_order(S: SymmetricEntries, p: int) -> np.ndarray | None:
     reach it and the order is not built.
 
     REORDER_BYTES stands for what a reordered run adds besides its
-    flushes: building the order and the permuted entries, 10-34 ms at
-    alpha of about 3500-3800, and the pivots it defers, since eliminating a
-    coordinate completes a square and leaves its partner with a zero
-    diagonal, which the first-nonzero rule skips until a later pivot
-    revives it. It sits between two groups of circuit classes (10^4 gates,
-    best of 3 diagonalizations each order, 2 circuits per class, 2 vCPUs):
-    where the saving per coordinate read at most 1.1e6 (p = 3 and
-    p = 10007 on 50 registers), Cuthill-McKee took 0.89-1.01 of the
-    canonical time, which building the order makes a tie; where it read
-    3.5e6 or more (p = 101 on 100 registers, p = 3, 5, 7 and 10007 on 200),
-    it took 0.52-0.82.
+    flushes: building the order and the permuted entries, 9-22 ms at alpha
+    of about 3400-3800. It sits at the top of one group of circuit classes
+    and below the other (10^4 gates, best of 3 diagonalizations each
+    order, 2 circuits per class, 2 vCPUs): where the saving per coordinate
+    read 4.9e5-2.0e6 (p = 3 and p = 10007 on 50 registers), Cuthill-McKee
+    took 0.83-0.97 of the canonical time, 6-46 ms less, which building the
+    order all but cancels; where it read 5.3e6 or more (p = 101 on 100
+    registers, p = 3, 5, 7 and 10007 on 200), it took 0.49-0.76.
 
     The second term is the canonical rerun that a zero amplitude costs a
     caller that reports |Z| (see `evaluator.amplitude`): a whole canonical
@@ -383,10 +363,11 @@ def envelope_order(S: SymmetricEntries, p: int) -> np.ndarray | None:
     on 100 or 200 registers, 9 of 40 transitions were zero at p = 3, 8 of
     30 at p = 5, 2 of 30 at p = 7, and none of 24 at p = 101 or
     p = 10007. The charge keeps p = 3 canonical (0 of 12 transitions on 200
-    registers reordered). p = 5 and p = 7 on 200 registers reorder 15 of
-    16 transitions, p = 101 on 100 all 16, and their mean time over all
-    transitions, zeros included, was 17%, 17.5% and 25% below the
-    canonical order's.
+    registers reordered). p = 5 and p = 7 on 200 registers reorder 14 and
+    16 of 16 transitions, p = 101 on 100 all 16, and the mean time of
+    `evaluator.amplitude`'s elimination route over all transitions, zeros
+    and reruns included, was 20%, 28% and 17% below the canonical
+    elimination's.
     """
     alpha = S.size
     itemsize = np.dtype(_pick_dtype(alpha, p)).itemsize

@@ -367,7 +367,30 @@ def test_table_cap_exits_two(capsys, circuit_file):
     path = circuit_file("p 7\nn 6\n")
     code, _, err = run(capsys, ["table", "-c", path, "-a", "0,0,0,0,0,0"])
     assert code == 2
-    assert err == "cap exceeded: table has 7^6 = 117649 rows, cap is 100000\n"
+    assert err == "cap exceeded: table has 7^6 rows, cap is 100000\n"
+
+
+def test_table_cap_names_a_power_past_the_int_digit_limit(capsys,
+                                                          circuit_file):
+    # 3^9100 has 4342 digits, more than Python >= 3.11 turns into a string,
+    # so the cap message prints the power and the exit code stays 2
+    path = circuit_file("p 3\nn 9100\n")
+    code, out, err = run(capsys, ["table", "-c", path, "-a",
+                                  ",".join(["0"] * 9100)])
+    assert (code, out) == (2, "")
+    assert err == "cap exceeded: table has 3^9100 rows, cap is 100000\n"
+
+
+def test_check_refuses_past_the_dense_cap_before_the_closed_form(
+        capsys, circuit_file, monkeypatch):
+    # 3^9 > 10^4: the dense oracle refuses, so the closed form never runs
+    def refuse(*args):
+        raise AssertionError("closed form evaluated")
+    monkeypatch.setattr(quopitsim.cli, "amplitude", refuse)
+    path = circuit_file("p 3\nn 9\nF 0\n")
+    code, out, err = run(capsys, ["check", "-c", path, "--trials", "1"])
+    assert (code, out) == (2, "")
+    assert err == "cap exceeded: dense dimension p^n = 3^9 exceeds 10000\n"
 
 
 def test_console_script(circuit_file):

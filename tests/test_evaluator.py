@@ -316,7 +316,7 @@ def test_wide_class_is_routed_and_large_class_is_not():
 def test_wide_amplitude_memory_is_bounded():
     # the canonical elimination of this form (alpha = 3759) peaks at
     # 138 MB, since its dense float64 block spans nearly every coordinate;
-    # in Cuthill-McKee order the peak was 90 MB
+    # in Cuthill-McKee order the peak was 76 MB
     c, a, b = _class_circuit(10007, 200)
     tracemalloc.start()
     try:

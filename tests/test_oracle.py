@@ -108,6 +108,13 @@ def test_dense_cap():
         dense_state(c, (0,) * 6)
 
 
+def test_dense_cap_message_past_the_int_digit_limit():
+    # 3^9100 has 4342 digits, more than Python >= 3.11 turns into a string,
+    # so the message names the power rather than its value
+    with pytest.raises(CapExceeded, match=r"p\^n = 3\^9100 exceeds"):
+        dense_state(make_circuit(3, 9100, []), (0,) * 9100)
+
+
 def test_dense_gate_cap_refuses_before_building():
     # an n = 1 circuit passes the dimension cap at any p below 10^4, but its
     # p x p Fourier gate would not: p = 1031 is refused without allocating

@@ -440,6 +440,53 @@ def test_envelope_order_recovers_a_band(monkeypatch):
     assert window <= 4 * 3
 
 
+def _components_pattern(rng, alpha: int, parts: int) -> np.ndarray:
+    # each part a random spanning tree plus a few chords; the coordinates
+    # left over get no off-diagonal entry
+    A = np.zeros((alpha, alpha), dtype=np.int64)
+    coords = rng.permutation(alpha)
+    cuts = np.sort(rng.choice(np.arange(1, alpha), size=parts, replace=False))
+    for part in np.split(coords, cuts)[:parts]:
+        for k in range(1, len(part)):
+            i, j = part[k], part[rng.integers(0, k)]
+            A[i, j] = A[j, i] = rng.integers(1, 7)
+        for _ in range(rng.integers(0, len(part) + 1)):
+            i, j = rng.choice(part, size=2)
+            A[i, j] = A[j, i] = rng.integers(1, 7) if i != j else 0
+    A[np.diag_indices(alpha)] = rng.integers(0, 7, size=alpha)
+    return A
+
+
+def test_cuthill_mckee_order_on_random_patterns():
+    # a permutation; each component breadth first from a coordinate of
+    # least degree in it, every later coordinate next to an earlier one;
+    # isolated coordinates last
+    rng = np.random.default_rng(83)
+    for _ in range(200):
+        alpha = int(rng.integers(2, 60))
+        A = _components_pattern(rng, alpha, int(rng.integers(1, alpha)))
+        adj = (A != 0) & ~np.eye(alpha, dtype=bool)
+        deg = adj.sum(axis=1)
+        order = quadform._cuthill_mckee(SymmetricEntries.from_dense(A))
+        assert sorted(order.tolist()) == list(range(alpha))
+        isolated = int(np.count_nonzero(deg == 0))
+        assert not deg[order[alpha - isolated:]].any()
+        done = np.zeros(alpha, dtype=bool)
+        for i in order[:alpha - isolated]:
+            if not (adj[i] & done).any():
+                # a new component: all of it is reachable from i and unseen
+                part = np.zeros(alpha, dtype=bool)
+                part[i] = True
+                while True:
+                    grown = part | adj[part].any(axis=0)
+                    if (grown == part).all():
+                        break
+                    part = grown
+                assert not (part & done).any()
+                assert deg[i] == deg[part].min()
+            done[i] = True
+
+
 def test_envelope_order_pays_or_is_none(monkeypatch):
     # float32 saves 4 bytes per entry of block work, float64 8: the order is
     # offered exactly when itemsize * (W_canonical - W_reordered) reaches
