@@ -34,7 +34,7 @@ class Gate:
     Gate owns the rules of a single gate, for the parser and for library
     callers alike: a known kind, one register for F and R and two for SUM,
     and distinct SUM registers. Whether an index names a register of the
-    circuit is `make_circuit`'s rule.
+    circuit is `Circuit`'s rule.
     """
 
     kind: str
@@ -79,45 +79,61 @@ class Gate:
 
 @dataclass(frozen=True)
 class Circuit:
+    """A circuit: its odd prime modulus, its register count n and its gates.
+
+    Circuit owns the rules of a whole circuit, however it is built: an odd
+    prime modulus (through `OddPrime`), at least one register, and every
+    register index in range (`_check_registers`). Each gate's own rules are
+    `Gate`'s. The gates are stored as a tuple. Whether the circuit is in
+    standard form is worked out from its gates, not stored.
+    """
+
     modulus: OddPrime
     n: int
     gates: tuple[Gate, ...]
-    standard_form: bool
+
+    def __post_init__(self):
+        if not isinstance(self.modulus, OddPrime):
+            object.__setattr__(self, "modulus", OddPrime(self.modulus))
+        if self.n < 1:
+            raise CircuitParseError(
+                f"register count must be >= 1, got {self.n}")
+        object.__setattr__(self, "gates", tuple(self.gates))
+        _check_registers(self.gates, self.n)
+
+    @property
+    def standard_form(self) -> bool:
+        return not _open_registers(self, _last_gate_per_register(self))
 
 
-def _last_gate_per_register(n: int, gates) -> list[int | None]:
-    last: list[int | None] = [None] * n
-    for i, g in enumerate(gates):
+# the checked constructor under the name library callers know
+make_circuit = Circuit
+
+
+def _last_gate_per_register(c: Circuit) -> list[int | None]:
+    last: list[int | None] = [None] * c.n
+    for i, g in enumerate(c.gates):
         for r in g.registers:
             last[r] = i
     return last
 
 
+def _open_registers(c: Circuit, last) -> list[int]:
+    """The standard-form rule: every register's last gate is F. Returns the
+    registers that break it, untouched ones included, from the index of
+    each register's last gate (`_last_gate_per_register`)."""
+    return [r for r, i in enumerate(last)
+            if i is None or c.gates[i].kind != FOURIER]
+
+
 def _check_registers(gates, n: int) -> None:
-    """The register-range rule, shared by `make_circuit` and the parser:
-    every index of every gate names one of the n registers."""
+    """The register-range rule, shared by `Circuit` and the parser: every
+    index of every gate names one of the n registers."""
     for g in gates:
         for r in g.registers:
             if not 0 <= r < n:
                 raise CircuitParseError(
                     f"register index {r} out of range for n={n}")
-
-
-def make_circuit(p, n: int, gates) -> Circuit:
-    """Build a Circuit and compute its standard_form flag.
-
-    make_circuit owns the rules of a whole circuit: an odd prime modulus
-    (through `OddPrime`), at least one register, and every register index
-    in range (`_check_registers`). Each gate's own rules are `Gate`'s.
-    """
-    modulus = p if isinstance(p, OddPrime) else OddPrime(p)
-    if n < 1:
-        raise CircuitParseError(f"register count must be >= 1, got {n}")
-    gates = tuple(gates)
-    _check_registers(gates, n)
-    last = _last_gate_per_register(n, gates)
-    standard = all(i is not None and gates[i].kind == FOURIER for i in last)
-    return Circuit(modulus, n, gates, standard)
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -127,7 +143,7 @@ def parse_circuit(text: str) -> Circuit:
     `n` header lines first and in that order, one integer per header line
     and integer gate arguments. Every other rule is checked where library
     callers meet it too: the modulus by `OddPrime`, the register count by
-    `make_circuit`, each gate by `Gate` and its indices by
+    `Circuit`, each gate by `Gate` and its indices by
     `_check_registers`. What they raise is raised again with the line
     number of the offending line; a missing header line is reported at the
     line after the last.
@@ -151,23 +167,22 @@ def parse_circuit(text: str) -> Circuit:
                 raise CircuitParseError(
                     f"non-integer argument in {line!r}") from None
             if n is not None:
-                gate = Gate(key, args)
-                _check_registers((gate,), n)
-                gates.append(gate)
+                gates.append(Gate(key, args))
+                _check_registers(gates[-1:], n)
             elif len(args) != 1:
                 raise CircuitParseError(
                     f"{key} expects 1 argument(s), got {len(args)}")
             elif p is None:
                 p = OddPrime(args[0])
             else:
-                # the register-count rule is make_circuit's
-                n = make_circuit(p, args[0], ()).n
+                # the register-count rule is Circuit's
+                n = Circuit(p, args[0], ()).n
         except ValueError as exc:
             raise CircuitParseError(f"line {lineno}: {exc}") from exc
     if n is None:
         raise CircuitParseError(f"line {len(lines) + 1}: missing "
                                 f"`{'p' if p is None else 'n'}` header line")
-    return make_circuit(p, n, gates)
+    return Circuit(p, n, gates)
 
 
 def serialize_circuit(c: Circuit) -> str:
@@ -180,23 +195,19 @@ def serialize_circuit(c: Circuit) -> str:
 def normalize_to_standard_form(c: Circuit) -> Circuit:
     """Append four Fourier gates (F^4 = identity) to every register whose
     last gate is not a Fourier gate, including untouched registers."""
-    if c.standard_form:
+    open_ = _open_registers(c, _last_gate_per_register(c))
+    if not open_:
         return c
-    last = _last_gate_per_register(c.n, c.gates)
-    gates = list(c.gates)
-    for r in range(c.n):
-        i = last[r]
-        if i is None or c.gates[i].kind != FOURIER:
-            gates.extend(Gate.fourier(r) for _ in range(4))
-    return make_circuit(c.modulus, c.n, gates)
+    return Circuit(c.modulus, c.n, c.gates + tuple(
+        Gate.fourier(r) for r in open_ for _ in range(4)))
 
 
 def classify_fourier_gates(c: Circuit) -> tuple[tuple[str | None, ...], int]:
     """Per-gate role (terminal / non-terminal for Fourier gates, None for the
     rest) and the non-terminal count alpha."""
-    if not c.standard_form:
+    last = _last_gate_per_register(c)
+    if _open_registers(c, last):
         raise CircuitParseError("circuit is not in standard form")
-    last = _last_gate_per_register(c.n, c.gates)
     terminal_indices = set(last)
     roles: list[str | None] = []
     fourier_count = 0

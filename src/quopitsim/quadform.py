@@ -169,7 +169,8 @@ def _moved(order, rows, cols):
 class SymmetricEntries:
     """A symmetric size x size matrix over F_p held as its nonzero
     upper-triangle entries (rows[k] <= cols[k], vals[k] in [1, p)), sorted
-    by column and then by row, each position once. `np.asarray` gives the
+    by column and then by row, each position once. The constructor trusts
+    its arrays; `diagonalize` checks this layout. `np.asarray` gives the
     dense int64 matrix."""
 
     __slots__ = ("size", "rows", "cols", "vals")
@@ -195,8 +196,6 @@ class SymmetricEntries:
         """Upper-triangle terms (rows <= cols), repeats allowed, summed mod
         p."""
         key = cols * size + rows
-        if not key.size:
-            return cls(size, key, key.copy(), key.copy())
         order = np.argsort(key)
         key = key[order]
         starts = np.flatnonzero(np.diff(key, prepend=-1))
@@ -263,6 +262,20 @@ class DiagonalizationResult:
         for arr in (self.L, self.diagonal, self.mu):
             if arr is not None:
                 arr.setflags(write=False)
+
+
+def _check_entries(S: SymmetricEntries, p: int) -> None:
+    # the layout `diagonalize` relies on, which `SymmetricEntries` does not
+    # check when it is built by hand: a breach can give a wrong answer
+    rows, cols, vals = S.rows, S.cols, S.vals
+    if not (len(rows) == len(cols) == len(vals)
+            and np.all(np.diff(cols * S.size + rows) > 0)
+            and np.all((0 <= rows) & (rows <= cols) & (cols < S.size))
+            and np.all((1 <= vals) & (vals < p))):
+        raise ValueError(
+            "theta's entries must be upper-triangle positions in range, "
+            "sorted by column and then row, each once, with values in "
+            f"[1, {p})")
 
 
 def _pick_dtype(alpha: int, p: int):
@@ -386,8 +399,9 @@ def diagonalize(theta, p: int, want_l: bool = False,
                 eta=None) -> DiagonalizationResult:
     """Full congruence diagonalization with panel-deferred updates.
 
-    theta is a SymmetricEntries with values in [0, p), or a dense symmetric
-    matrix, which is turned into its entries on entry. Pivot selection follows
+    theta is a SymmetricEntries laid out as its class states, which is
+    checked (ValueError), or a dense symmetric matrix, which is turned into
+    its entries on entry. Pivot selection follows
     oracle.split_step exactly (first nonzero diagonal entry, else row-major
     first off-diagonal fold), so the output matches
     oracle.diagonalize_reference entry for entry. The trailing matrix only
@@ -441,6 +455,7 @@ def diagonalize(theta, p: int, want_l: bool = False,
     """
     if isinstance(theta, SymmetricEntries):
         S = theta
+        _check_entries(S, p)
     else:
         S = SymmetricEntries.from_dense(_as_symmetric(theta, p))
     alpha = S.size
@@ -531,16 +546,12 @@ def diagonalize(theta, p: int, want_l: bool = False,
             # the grow policy and the moves below see only live positions
             compact()
             live, size = top - t, end - t
-            # grow to half again the block when it would fill more than
-            # three quarters of the buffer, else slide it to the front, which
-            # frees at least a quarter: either way O(w^2) copying buys O(w)
-            # pivots. Growing holds both buffers for a moment, so a buffer
-            # that would cover nine tenths of the remaining coordinates takes
-            # them all and never grows again.
+            # grow to half again the block, or to the remaining coordinates
+            # if fewer, when it would fill more than three quarters of the
+            # buffer, else slide it to the front, which frees at least a
+            # quarter: either way O(w^2) copying buys O(w) pivots
             if 4 * size > 3 * A.shape[0]:
-                cap = size + size // 2
-                if 10 * cap >= 9 * (alpha - t):
-                    cap = alpha - t
+                cap = min(size + size // 2, alpha - t)
                 grown = np.zeros((cap, cap), dtype=dtype)
                 kept = slice(t - base, top - base)
                 grown[:live, :live] = A[kept, kept]

@@ -1,10 +1,13 @@
+import dataclasses
 import re
 
 import pytest
 
-from quopitsim import (CircuitParseError, Gate, classify_fourier_gates,
-                       make_circuit, normalize_to_standard_form,
-                       parse_circuit, serialize_circuit)
+from quopitsim import (Circuit, CircuitParseError, Gate, OddPrime, amplitude,
+                       classify_fourier_gates, make_circuit,
+                       normalize_to_standard_form, parse_circuit,
+                       serialize_circuit)
+from quopitsim import circuit
 from quopitsim.circuit import NON_TERMINAL, SUM, TERMINAL
 
 FIG_TEXT = """\
@@ -85,24 +88,58 @@ def test_gate_validation():
         Gate("BOGUS", (0,))
 
 
-def test_make_circuit_validation():
+# make_circuit and a direct Circuit(...) are one checked constructor
+BUILDERS = pytest.mark.parametrize("build", [make_circuit, Circuit],
+                                   ids=["make_circuit", "Circuit"])
+
+
+@BUILDERS
+def test_make_circuit_validation(build):
     with pytest.raises(CircuitParseError,
                        match="^register index 2 out of range for n=2$"):
-        make_circuit(3, 2, [Gate.fourier(0), Gate.sum(2, 1)])
+        build(3, 2, [Gate.fourier(0), Gate.sum(2, 1)])
+    with pytest.raises(CircuitParseError,
+                       match="^register index -1 out of range for n=2$"):
+        build(3, 2, [Gate.fourier(0), Gate.sum(-1, 0)])
     with pytest.raises(CircuitParseError,
                        match="^register count must be >= 1, got 0$"):
-        make_circuit(3, 0, [])
+        build(3, 0, [])
     with pytest.raises(ValueError, match="modulus must be"):
-        make_circuit(9, 1, [Gate.fourier(0)])
+        build(9, 1, [Gate.fourier(0)])
+    c = build(5, 2, [Gate.fourier(1)])
+    assert type(c.modulus) is OddPrime and c.gates == (Gate.fourier(1),)
 
 
-def test_standard_form_flag():
-    assert not make_circuit(3, 1, [Gate.phase(0)]).standard_form
-    assert not make_circuit(3, 2, [Gate.fourier(0)]).standard_form  # reg 1 untouched
-    assert make_circuit(3, 1, [Gate.fourier(0)]).standard_form
+@BUILDERS
+def test_standard_form_flag(build):
+    assert not build(3, 1, [Gate.phase(0)]).standard_form
+    assert not build(3, 2, [Gate.fourier(0)]).standard_form  # reg 1 untouched
+    assert build(3, 1, [Gate.fourier(0)]).standard_form
     # a SUM after the Fourier gate spoils both its registers
-    c = make_circuit(3, 2, [Gate.fourier(0), Gate.fourier(1), Gate.sum(0, 1)])
+    c = build(3, 2, [Gate.fourier(0), Gate.fourier(1), Gate.sum(0, 1)])
     assert not c.standard_form
+
+
+def test_standard_form_is_not_a_field():
+    assert [f.name for f in dataclasses.fields(Circuit)] == [
+        "modulus", "n", "gates"]
+    with pytest.raises(TypeError):
+        Circuit(3, 1, (Gate.phase(0),), True)
+
+
+def test_amplitude_scans_last_gates_twice(monkeypatch):
+    # normalize and classify scan once each; parsing does not scan
+    calls = []
+    scan = circuit._last_gate_per_register
+
+    def counted(*args):
+        calls.append(1)
+        return scan(*args)
+
+    monkeypatch.setattr(circuit, "_last_gate_per_register", counted)
+    c = parse_circuit("p 3\nn 2\nF 0\nSUM 0 1\nR 1\n")
+    amplitude(c, (0, 0), (0, 0))
+    assert len(calls) == 2
 
 
 def test_normalize_appends_four_fouriers():

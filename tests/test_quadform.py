@@ -706,3 +706,58 @@ def test_gf_rank_knowns():
     assert gf_rank(np.array([[1, 0, 2], [0, 1, 1]]), 5) == 2
     # 5 = 0 mod 5 knocks the rank down
     assert gf_rank(np.array([[5]]), 5) == 0
+
+
+def _sparse_symmetric(rng, n: int, p: int, density: float) -> np.ndarray:
+    M = np.where(rng.random((n, n)) < density, rng.integers(1, p, (n, n)), 0)
+    return np.triu(M) + np.triu(M, 1).T
+
+
+def test_diagonalize_checks_hand_built_entries():
+    # SymmetricEntries' constructor checks nothing, and shuffled entries
+    # made the engine raise IndexError or, on one form, return a wrong
+    # diagonal; diagonalize checks the layout once and raises ValueError,
+    # while entries built by from_dense, coalesce and permuted pass
+    rng = np.random.default_rng(0)
+    p = 5
+    shuffled = 0
+    for _ in range(300):
+        n = int(rng.integers(3, 40))
+        A = _sparse_symmetric(rng, n, p, 0.3)
+        S = SymmetricEntries.from_dense(A)
+        k = rng.permutation(S.vals.size)
+        if np.any(k[1:] < k[:-1]):
+            shuffled += 1
+            with pytest.raises(ValueError, match="sorted by column"):
+                diagonalize(SymmetricEntries(n, S.rows[k], S.cols[k],
+                                             S.vals[k]), p)
+        summed = SymmetricEntries.coalesce(
+            n, p, np.concatenate([S.rows, S.rows]),
+            np.concatenate([S.cols, S.cols]), np.concatenate([S.vals, S.vals]))
+        for built in (S, summed, S.permuted(rng.permutation(n))):
+            res = diagonalize(built, p, want_l=True)
+            B = np.asarray(built).astype(object)
+            assert np.array_equal((res.L.T @ B @ res.L) % p,
+                                  np.diag(res.diagonal))
+    # a form of one entry, or a lucky permutation, stays sorted
+    assert shuffled > 250
+    empty = np.zeros(0, dtype=np.int64)
+    assert diagonalize(SymmetricEntries.coalesce(4, p, empty, empty, empty),
+                       p).rank == 0
+    S = SymmetricEntries.from_dense(_sparse_symmetric(rng, 6, p, 0.5))
+    r, c, v = S.rows, S.cols, S.vals
+    off = np.flatnonzero(r != c)[0]
+    lower = r.copy(), c.copy()
+    lower[0][off], lower[1][off] = c[off], r[off]
+    malformed = [
+        (6, *lower, v),                                   # below the diagonal
+        (6, np.repeat(r, 2), np.repeat(c, 2), np.repeat(v, 2)),  # repeats
+        (6, r, c, np.where(np.arange(v.size) == 2, 0, v)),       # a zero
+        (6, r, c, np.where(np.arange(v.size) == 2, p, v)),       # p itself
+        (c.max(), r, c, v),                               # column past size
+        (6, r - 1, c, v),                                 # negative row
+        (6, r, c, v[:-1]),                                # lengths differ
+    ]
+    for size, rows, cols, vals in malformed:
+        with pytest.raises(ValueError, match="upper-triangle positions"):
+            diagonalize(SymmetricEntries(size, rows, cols, vals), p)
