@@ -25,16 +25,20 @@ d eta / d b_i and d zeta / d b_i, hands `diagonalize` the right-hand sides
 fixed-size chunks, without forming L.
 
 Only `amplitude` (and `balance_weight` through it) may eliminate Theta in
-another order, the one `quadform.envelope_order` offers when it pays:
-P^T Theta P with eta permuted alike is a congruence, under which the
-amplitude, the probability, the rank, alpha, the weight and whether Z is
-empty are invariant. |Z| is not, so a reordered elimination that finds Z
-nonempty is redone canonically, and every report field is the canonical
-one. Tables and `--explain` eliminate in the canonical order, since they
-print or expand the diagonal and mu themselves.
+another order, the one `quadform.envelope_order` offers when it lowers the
+block work: P^T Theta P with eta permuted alike is a congruence, under
+which the amplitude, the probability, the rank, alpha, the weight and
+whether Z is empty are invariant. |Z| is not in general, but Z lies among
+the alpha - r coordinates with lambda_i = 0, so where alpha - r <= 1 it
+is 0 or 1 in every order, fixed by whether the amplitude is zero. A
+reordered elimination that finds Z nonempty with alpha - r >= 2 is redone
+canonically, so every report field is the canonical one. Tables and
+`--explain` eliminate in the canonical order, since they print or expand
+the diagonal and mu themselves.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -64,9 +68,10 @@ def weil_sum(lam: int, mu: int, p: int) -> ExactScalar:
     lam = mu = 0 gives p; lam = 0 with mu != 0 gives 0; for lam != 0 the
     value is i^eps(p) * (lam/p) * sqrt(p) * chi(-4^(-1)*lam^(-1)*mu^2).
     """
-    # as Python ints: numpy integers would wrap in mu * mu below
-    lam = int(lam) % p
-    mu = int(mu) % p
+    # as Python ints: numpy integers would wrap in mu * mu below; floats
+    # are refused rather than truncated
+    lam = operator.index(lam) % p
+    mu = operator.index(mu) % p
     if lam == 0:
         if mu == 0:
             return ExactScalar(p, sqrtp_exponent=2)
@@ -139,21 +144,23 @@ def amplitude(c: Circuit, a, b) -> AmplitudeReport:
     form first, so any circuit is accepted.
 
     When `quadform.envelope_order` offers an order, Theta is eliminated in
-    it, with eta permuted alike. A reordered elimination that finds Z
-    nonempty is redone in the canonical order, since |Z| depends on the
-    order, so every field of the report is the canonical one;
-    `envelope_order` charges for that rerun, so p = 3, where zero
-    amplitudes are commonest, stays canonical.
+    it, with eta permuted alike. Every field of the report is then the
+    canonical one except perhaps |Z|, which can depend on the order. Z
+    lies among the alpha - r coordinates whose lambda is zero, and whether
+    it is empty does not depend on the order, since the amplitude is zero
+    exactly then. So where alpha - r <= 1, |Z| is 0 or 1 in either order
+    and the two agree; only a reordered run that finds Z nonempty with
+    alpha - r >= 2 is redone in the canonical order.
     """
     cn = normalize_to_standard_form(c)
     p = int(cn.modulus)
     q = phase_polynomial_direct(cn, a, b)
     S = q.theta_entries
-    order = envelope_order(S, p)
+    order = envelope_order(S)
     if order is not None:
         res = diagonalize(S.permuted(order), p, eta=q.eta[order])
         report = assemble_amplitude(cn, q, res.diagonal, res.mu)
-        if not report.z_size:
+        if not report.z_size or report.alpha - report.rank < 2:
             return report
     res = diagonalize(S, p, eta=q.eta)
     return assemble_amplitude(cn, q, res.diagonal, res.mu)

@@ -115,8 +115,8 @@ class ExactScalar:
         self.is_zero = bool(is_zero)
         if self.is_zero:
             sqrtp_exponent = quarter_turns = p_phase = 0
-        self.sqrtp_exponent = int(sqrtp_exponent)
-        self.quarter_turns = int(quarter_turns) % 4
+        self.sqrtp_exponent = operator.index(sqrtp_exponent)
+        self.quarter_turns = operator.index(quarter_turns) % 4
         self.p_phase = FieldElement(p_phase, p)
 
     @classmethod

@@ -26,6 +26,7 @@ variables print (x1, x2, ...): in wire labels, in S(x) and in
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,7 +158,8 @@ def _check_tuples(c: Circuit, *tuples) -> list[tuple[int, ...]]:
         got = "/".join(str(len(t)) for t in tuples)
         raise ValueError(f"input/outcome tuples must have length {c.n}, got {got}")
     p = int(c.modulus)
-    return [tuple(int(v) % p for v in t) for t in tuples]
+    # operator.index refuses floats rather than truncating them
+    return [tuple(operator.index(v) % p for v in t) for t in tuples]
 
 
 def label_circuit(c: Circuit, a, b) -> LabeledCircuit:

@@ -48,14 +48,14 @@ coordinates contiguous and in the order `oracle.split_step` keeps them.
 `diagonalize` eliminates in the order it is given, so its window is the
 envelope of A in that order, and it does not reorder. `envelope_order`
 offers a Cuthill-McKee order (Cuthill and McKee 1969), one breadth-first
-search from a coordinate of least degree in each component, when a static
-estimate of the flush work says eliminating in it pays; the caller then
-eliminates `S.permuted(order)` with its right-hand sides permuted alike.
-That is a congruence, so the rank, the square class of the
-nonzero diagonal's product and, with eta permuted alike, whether some
-coordinate has lambda_i = 0 and mu_i != 0 do not change; the diagonal, L,
-mu and the count of such coordinates are those of the permuted form.
-`evaluator.amplitude` is the only caller that reorders.
+search from a coordinate of least degree in each component, when the
+block work of eliminating in it is strictly lower than in the given
+order; the caller then eliminates `S.permuted(order)` with its right-hand
+sides permuted alike. That is a congruence, so the rank, the square class
+of the nonzero diagonal's product and, with eta permuted alike, whether
+some coordinate has lambda_i = 0 and mu_i != 0 do not change; the
+diagonal, L, mu and the count of such coordinates are those of the
+permuted form. `evaluator.amplitude` is the only caller that reorders.
 
 `diagonalize` never forms L while it eliminates. It applies each column
 operation to a matrix of right-hand sides instead, so it returns
@@ -79,14 +79,6 @@ from .fields import inverse_mod
 PANEL = 96
 # entries per row block of a panel flush; bounds its temporary
 FLUSH_ENTRIES = 1 << 20
-# flush bytes per coordinate that a reordered elimination must save before
-# `envelope_order` offers its order: the price of building the order and
-# the permuted entries (see `envelope_order`)
-REORDER_BYTES = 2_000_000
-# a canonical elimination takes about this many times its flush work: the
-# flushes made 33-54% of it, profiled on the circuit classes that reorder.
-# `envelope_order` prices the canonical rerun of a zero amplitude with it
-ELIMINATION_PER_FLUSH = 3
 # flush products with fewer multiply-adds than this run on one BLAS thread:
 # waking a second thread that has gone idle costs about 10 ms, far more than
 # it saves on such a product
@@ -206,7 +198,13 @@ class SymmetricEntries:
 
     def permuted(self, order) -> "SymmetricEntries":
         """P^T A P for the permutation matrix with P[order[k], k] = 1:
-        position k holds coordinate order[k]."""
+        position k holds coordinate order[k]. order must be an integer
+        permutation of range(size) (ValueError)."""
+        order = np.asarray(order)
+        if (order.dtype.kind not in "iu"
+                or not np.array_equal(np.sort(order), np.arange(self.size))):
+            raise ValueError(
+                f"order must be a permutation of range({self.size})")
         rows, cols = _moved(order, self.rows, self.cols)
         # distinct positions stay distinct: only the sort is left to redo
         k = np.argsort(cols * self.size + rows)
@@ -340,59 +338,20 @@ def _cuthill_mckee(S: SymmetricEntries) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def envelope_order(S: SymmetricEntries, p: int) -> np.ndarray | None:
-    """A Cuthill-McKee order of S when eliminating in it should pay, else
-    None.
+def envelope_order(S: SymmetricEntries) -> np.ndarray | None:
+    """A Cuthill-McKee order of S when eliminating in it takes strictly
+    less block work than in the given order, else None.
 
-    The static block work W = sum over pivots t of (hi_t - t)^2, with hi_t
-    the running maximum of the row ends, prices the panel flushes of an
-    elimination in a given order in entries; it takes O(nnz) from the row
-    ends `diagonalize` computes. The order is returned when the flush bytes
-    it saves at the float type's item size pay for two costs:
-
-        itemsize * (W_canonical - W_reordered)
-            >= REORDER_BYTES * alpha
-               + ELIMINATION_PER_FLUSH * itemsize * W_canonical / (p + 1)
-
-    When itemsize * W_canonical alone is below that bar, no saving can
-    reach it and the order is not built.
-
-    REORDER_BYTES stands for what a reordered run adds besides its
-    flushes: building the order and the permuted entries, 9-22 ms at alpha
-    of about 3400-3800. It sits at the top of one group of circuit classes
-    and below the other (10^4 gates, best of 3 diagonalizations each
-    order, 2 circuits per class, 2 vCPUs): where the saving per coordinate
-    read 4.9e5-2.0e6 (p = 3 and p = 10007 on 50 registers), Cuthill-McKee
-    took 0.83-0.97 of the canonical time, 6-46 ms less, which building the
-    order all but cancels; where it read 5.3e6 or more (p = 101 on 100
-    registers, p = 3, 5, 7 and 10007 on 200), it took 0.49-0.76.
-
-    The second term is the canonical rerun that a zero amplitude costs a
-    caller that reports |Z| (see `evaluator.amplitude`): a whole canonical
-    elimination, ELIMINATION_PER_FLUSH times its flush work, in about one
-    transition in p + 1. A uniformly random symmetric form over F_p is
-    singular with probability about p / (p^2 - 1), and a random eta then
-    gives a zero amplitude with probability 1 - 1/p. On 10^4-gate circuits
-    on 100 or 200 registers, 9 of 40 transitions were zero at p = 3, 8 of
-    30 at p = 5, 2 of 30 at p = 7, and none of 24 at p = 101 or
-    p = 10007. The charge keeps p = 3 canonical (0 of 12 transitions on 200
-    registers reordered). p = 5 and p = 7 on 200 registers reorder 14 and
-    16 of 16 transitions, p = 101 on 100 all 16, and the mean time of
-    `evaluator.amplitude`'s elimination route over all transitions, zeros
-    and reruns included, was 20%, 28% and 17% below the canonical
-    elimination's.
-    """
-    alpha = S.size
-    itemsize = np.dtype(_pick_dtype(alpha, p)).itemsize
-    work = _block_work(_row_ends(alpha, S.rows, S.cols))
-    bar = (REORDER_BYTES * alpha
-           + ELIMINATION_PER_FLUSH * itemsize * work / (p + 1))
-    if not alpha or itemsize * work < bar:
-        return None
+    The block work W = sum over pivots t of (hi_t - t)^2, with hi_t the
+    running maximum of the row ends, is the square of the window each
+    pivot's updates can reach, so it bounds the panel flushes of an
+    elimination in a given order in entries. It takes O(alpha) from the
+    row ends `diagonalize` computes; the order takes a sort of the
+    off-diagonal entries and a breadth-first search."""
     order = _cuthill_mckee(S)
-    saved = work - _block_work(_row_ends(alpha,
-                                         *_moved(order, S.rows, S.cols)))
-    return order if itemsize * saved >= bar else None
+    moved = _row_ends(S.size, *_moved(order, S.rows, S.cols))
+    canonical = _row_ends(S.size, S.rows, S.cols)
+    return order if _block_work(moved) < _block_work(canonical) else None
 
 
 def diagonalize(theta, p: int, want_l: bool = False,
@@ -442,7 +401,7 @@ def diagonalize(theta, p: int, want_l: bool = False,
     Memory is O(nnz(theta) + w^2 + PANEL * alpha) for
     a block of w coordinates; matrices from circuits are close to banded, so
     the block is usually much narrower than the matrix. theta is eliminated
-    in the order given; `envelope_order` says when another order pays.
+    in the order given; `envelope_order` offers one of less block work.
 
     Each flush product of fewer than BLAS_SERIAL_MACS multiply-adds runs on
     one thread of numpy's bundled OpenBLAS, when its thread count can be

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 from conftest import random_circuit, standard_corpus
-from quopitsim import (CapExceeded, Gate, amplitude, amplitude_table,
-                       balance_weight, dense_amplitude, diagonalize,
-                       extract_phase_polynomial, label_circuit, make_circuit,
-                       normalize_to_standard_form, phase_polynomial_direct,
-                       probability, weil_sum)
+from quopitsim import (CapExceeded, Gate, SymmetricEntries, amplitude,
+                       amplitude_table, balance_weight, dense_amplitude,
+                       diagonalize, extract_phase_polynomial, label_circuit,
+                       make_circuit, normalize_to_standard_form,
+                       parse_circuit, phase_polynomial_direct, probability,
+                       weil_sum)
 from quopitsim import evaluator, quadform
 from quopitsim.evaluator import phase_unit_exponent
 from quopitsim.fields import ExactScalar
@@ -188,6 +189,24 @@ def test_table_checks_input_length():
         amplitude_table(c, (0, 0, 0))
 
 
+
+def test_float_inputs_are_refused():
+    # a float is refused rather than truncated; numpy integers still pass
+    c = make_circuit(3, 1, [Gate.fourier(0), Gate.phase(0)])
+    for call in (lambda: amplitude(c, (1.7,), (0,)),
+                 lambda: amplitude(c, (0,), (np.float64(2.0),)),
+                 lambda: amplitude_table(c, (2.9,)),
+                 lambda: ExactScalar(3, sqrtp_exponent=0.5),
+                 lambda: ExactScalar(3, quarter_turns=1.0),
+                 lambda: weil_sum(1.5, 0, 3),
+                 lambda: weil_sum(1, 2.0, 3)):
+        with pytest.raises(TypeError):
+            call()
+    assert amplitude(c, (np.int64(1),), (np.int32(2),)) \
+        == amplitude(c, (1,), (2,))
+    assert amplitude_table(c, (np.int64(2),)) == amplitude_table(c, (2,))
+    assert ExactScalar(3, np.int64(1), np.int8(5)) == ExactScalar(3, 1, 1)
+
 def test_table_extracts_once(monkeypatch):
     # b only scales the final register rows, so one b-free pass covers
     # every outcome; count the extractions under both names the evaluator
@@ -267,11 +286,17 @@ def _canonical(c, a, b):
     return evaluator.assemble_amplitude(cn, q, res.diagonal, res.mu)
 
 
+def _force_route(monkeypatch, order):
+    # amplitude eliminates every form with alpha > 0 in order(S)
+    monkeypatch.setattr(evaluator, "envelope_order",
+                        lambda S: order(S) if S.size else None)
+
+
 def test_reordered_route_reports_the_canonical_fields(monkeypatch):
     # every form with alpha > 0 is eliminated in Cuthill-McKee order; on
     # the corpus the report matches the canonical one field for field, |Z|
     # included, also where the reordered elimination alone finds another |Z|
-    monkeypatch.setattr(quadform, "REORDER_BYTES", -10 ** 18)
+    _force_route(monkeypatch, quadform._cuthill_mckee)
     z_moved = routed = 0
     for c in standard_corpus():
         p, n = int(c.modulus), c.n
@@ -279,7 +304,7 @@ def test_reordered_route_reports_the_canonical_fields(monkeypatch):
             want = _canonical(c, a, b)
             assert amplitude(c, a, b) == want
             q = phase_polynomial_direct(normalize_to_standard_form(c), a, b)
-            order = quadform.envelope_order(q.theta_entries, p)
+            order = evaluator.envelope_order(q.theta_entries)
             if order is None:
                 continue
             routed += 1
@@ -289,6 +314,64 @@ def test_reordered_route_reports_the_canonical_fields(monkeypatch):
                 != want.z_size
     assert routed > 300
     assert z_moved > 0
+
+
+# zero amplitudes of corank alpha - r = 1 and 2, with |Z| = 1 and 2
+_CORANK_ONE = ("p 3\nn 3\nF 0\nF 2\nSUM 0 1\nF 1\nR 1\nF 0\nSUM 0 1\n"
+               "R 1\nSUM 2 1\n", (1, 1, 0), (2, 2, 2))
+_CORANK_TWO = ("p 3\nn 3\nF 0\nR 2\nR 0\nR 1\nSUM 2 1\nSUM 1 0\nF 1\n"
+               "F 1\nF 0\nSUM 0 2\nSUM 0 2\nSUM 1 2\nR 1\n", (0, 0, 0),
+               (1, 1, 1))
+
+
+def test_routed_zero_amplitude_reruns_only_from_corank_two(monkeypatch):
+    # |Z| is 0 or 1 in every order when alpha - r <= 1, so only a zero
+    # amplitude of corank 2 or more is eliminated a second time
+    _force_route(monkeypatch, lambda S: np.arange(S.size)[::-1])
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return diagonalize(*args, **kwargs)
+    monkeypatch.setattr(evaluator, "diagonalize", counted)
+    for (text, a, b), corank, runs in ((_CORANK_ONE, 1, 1),
+                                       (_CORANK_TWO, 2, 2)):
+        c = parse_circuit(text)
+        calls.clear()
+        rep = amplitude(c, a, b)
+        assert rep.amplitude.is_zero
+        assert (rep.alpha - rep.rank, rep.z_size) == (corank, corank)
+        assert len(calls) == runs
+        assert rep == _canonical(c, a, b)
+
+
+def test_corank_one_z_size_does_not_depend_on_the_order():
+    # Z lies among the alpha - r zero-diagonal coordinates and its
+    # emptiness is invariant, so with alpha - r <= 1 every order gives the
+    # same |Z|; with more, only its emptiness is invariant
+    rng = np.random.default_rng(89)
+    coranks = set()
+    for _ in range(400):
+        p = int(rng.choice([3, 5, 7]))
+        alpha = int(rng.integers(1, 12))
+        rank = int(rng.integers(max(alpha - 2, 0), alpha + 1))
+        # G^T D G has rank at most rank by construction
+        G = rng.integers(0, p, size=(rank, alpha))
+        D = np.diag(rng.integers(1, p, size=rank))
+        A = (G.T @ D @ G) % p
+        eta = rng.integers(0, p, size=alpha)
+        res = diagonalize(A, p, eta=eta)
+        z = np.count_nonzero(res.mu[res.diagonal == 0])
+        order = rng.permutation(alpha)
+        moved = diagonalize(SymmetricEntries.from_dense(A).permuted(order),
+                            p, eta=eta[order])
+        z_moved = np.count_nonzero(moved.mu[moved.diagonal == 0])
+        assert moved.rank == res.rank
+        assert bool(z_moved) == bool(z)
+        if alpha - res.rank <= 1:
+            assert z_moved == z
+            coranks.add((alpha - res.rank, int(z)))
+    assert coranks == {(0, 0), (1, 0), (1, 1)}
 
 
 @functools.cache
@@ -302,15 +385,14 @@ def _class_circuit(p: int, n: int):
     return c, a, b
 
 
-def test_wide_class_is_routed_and_large_class_is_not():
-    # p = 3 on 200 registers would save flush work too, but about one
-    # transition in four is a zero amplitude, which pays for both orders
-    for (p, n), routed in (((10007, 200), True), ((3, 50), False),
-                           ((3, 200), False)):
+def test_benchmark_classes_are_routed():
+    # Cuthill-McKee lowers the block work on the benchmark's classes, p = 3
+    # on 200 registers too, where about a quarter of the transitions are
+    # zero amplitudes
+    for p, n in ((10007, 200), (3, 50), (3, 200)):
         c, a, b = _class_circuit(p, n)
         q = phase_polynomial_direct(normalize_to_standard_form(c), a, b)
-        order = quadform.envelope_order(q.theta_entries, p)
-        assert (order is not None) == routed
+        assert quadform.envelope_order(q.theta_entries) is not None
 
 
 def test_wide_amplitude_memory_is_bounded():

@@ -420,22 +420,22 @@ def _scrambled_band(rng, p: int, alpha: int, bw: int):
     return SymmetricEntries.from_dense(A[np.ix_(order, order)])
 
 
-def test_envelope_order_recovers_a_band(monkeypatch):
+def _work(S: SymmetricEntries) -> int:
+    return quadform._block_work(quadform._row_ends(S.size, S.rows, S.cols))
+
+
+def test_envelope_order_recovers_a_band():
     # a band scrambled by a random permutation has a window of nearly the
     # whole matrix; Cuthill-McKee brings it back to a few times the band
     rng = np.random.default_rng(61)
     S = _scrambled_band(rng, 5, 300, 3)
     # isolated coordinates, which have no off-diagonal entries, go last
     S = SymmetricEntries.coalesce(305, 5, S.rows, S.cols, S.vals)
-    work = quadform._block_work(quadform._row_ends(305, S.rows, S.cols))
-    monkeypatch.setattr(quadform, "REORDER_BYTES", 0)
-    order = envelope_order(S, 5)
+    order = envelope_order(S)
     assert sorted(order.tolist()) == list(range(305))
     assert set(order[300:].tolist()) == set(range(300, 305))
     moved = S.permuted(order)
-    banded = quadform._block_work(quadform._row_ends(305, moved.rows,
-                                                     moved.cols))
-    assert banded * 100 < work
+    assert _work(moved) * 100 < _work(S)
     window = np.max(moved.cols - moved.rows)
     assert window <= 4 * 3
 
@@ -487,55 +487,46 @@ def test_cuthill_mckee_order_on_random_patterns():
             done[i] = True
 
 
-def test_envelope_order_pays_or_is_none(monkeypatch):
-    # float32 saves 4 bytes per entry of block work, float64 8: the order is
-    # offered exactly when itemsize * (W_canonical - W_reordered) reaches
-    # REORDER_BYTES per coordinate plus the charge for a canonical rerun
+def test_envelope_order_exactly_when_it_lowers_the_block_work():
+    # the Cuthill-McKee order is offered exactly when eliminating in it
+    # takes strictly less block work than the given order
     rng = np.random.default_rng(67)
-    for p in (5, 10007):
+    for p in (3, 5, 10007):
         S = _scrambled_band(rng, p, 200, 2)
-        itemsize = np.dtype(quadform._pick_dtype(200, p)).itemsize
-        canonical = quadform._block_work(quadform._row_ends(200, S.rows,
-                                                            S.cols))
-        monkeypatch.setattr(quadform, "REORDER_BYTES", -10 ** 18)
-        moved = S.permuted(envelope_order(S, p))
-        saved = canonical - quadform._block_work(
-            quadform._row_ends(200, moved.rows, moved.cols))
-        assert saved > 0
-        rerun = (quadform.ELIMINATION_PER_FLUSH * itemsize * canonical
-                 / (p + 1))
-        bar = int((itemsize * saved - rerun) // 200)
-        assert bar > 0
-        monkeypatch.setattr(quadform, "REORDER_BYTES", bar)
-        assert envelope_order(S, p) is not None
-        monkeypatch.setattr(quadform, "REORDER_BYTES", bar + 1)
-        assert envelope_order(S, p) is None
-    # the rerun charge alone keeps p = 3 canonical where p = 10007 reorders
-    S = _scrambled_band(rng, 3, 200, 2)
-    monkeypatch.setattr(quadform, "REORDER_BYTES", 0)
-    assert envelope_order(S, 3) is not None
-    monkeypatch.setattr(quadform, "ELIMINATION_PER_FLUSH", 4)
-    assert envelope_order(S, 3) is None
-    # a band already in order saves nothing
+        order = envelope_order(S)
+        assert _work(S.permuted(order)) < _work(S)
+    seen = set()
+    for _ in range(100):
+        alpha = int(rng.integers(2, 40))
+        S = SymmetricEntries.from_dense(
+            _components_pattern(rng, alpha, int(rng.integers(1, alpha))))
+        cm = quadform._cuthill_mckee(S)
+        order = envelope_order(S)
+        lower = _work(S.permuted(cm)) < _work(S)
+        assert (order is not None) == lower
+        if lower:
+            assert np.array_equal(order, cm)
+        seen.add(lower)
+    assert seen == {False, True}
+    # a band already in order: its Cuthill-McKee order is itself
     S = SymmetricEntries.from_dense(np.eye(50, dtype=np.int64)
                                     + np.eye(50, k=1, dtype=np.int64)
                                     + np.eye(50, k=-1, dtype=np.int64))
-    monkeypatch.setattr(quadform, "REORDER_BYTES", 1)
-    assert envelope_order(S, 5) is None
+    assert envelope_order(S) is None
     assert envelope_order(SymmetricEntries.from_dense(
-        np.zeros((0, 0), dtype=np.int64)), 5) is None
+        np.zeros((0, 0), dtype=np.int64))) is None
 
 
-def test_order_is_not_built_when_it_cannot_pay(monkeypatch):
-    # itemsize * W_canonical below the bar: no saving can reach it, so the
-    # order is never computed
-    def refuse(S):
-        raise AssertionError("order built")
-    monkeypatch.setattr(quadform, "_cuthill_mckee", refuse)
-    S = _scrambled_band(np.random.default_rng(71), 5, 200, 2)
-    work = quadform._block_work(quadform._row_ends(200, S.rows, S.cols))
-    monkeypatch.setattr(quadform, "REORDER_BYTES", 4 * work // 200 + 1)
-    assert envelope_order(S, 5) is None
+def test_permuted_refuses_an_order_that_is_not_a_permutation():
+    # a repeat would leave positions of the inverse uninitialized, and a
+    # short, out-of-range or float order would not index at all
+    S = SymmetricEntries.from_dense(np.array([[0, 1, 2], [1, 0, 1],
+                                              [2, 1, 1]]))
+    for order in ([0, 0, 2], [2, 1, 0, 0], [0, 1, 5], [2.0, 0.0, 1.0]):
+        with pytest.raises(ValueError, match="permutation"):
+            S.permuted(np.array(order))
+    assert np.array_equal(np.asarray(S.permuted(np.array([2, 0, 1]))),
+                          [[1, 2, 1], [2, 0, 1], [1, 1, 0]])
 
 
 def test_small_flushes_run_on_one_blas_thread(monkeypatch):
