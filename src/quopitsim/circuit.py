@@ -136,6 +136,17 @@ def _check_registers(gates, n: int) -> None:
                     f"register index {r} out of range for n={n}")
 
 
+def _checked_circuit(modulus: OddPrime, n: int, gates) -> Circuit:
+    # a Circuit from parts that already keep its rules: the parser checks
+    # each gate as it reads its line, and normalizing appends gates on the
+    # registers of a circuit, so neither needs every gate checked again
+    c = object.__new__(Circuit)
+    for name, value in (("modulus", modulus), ("n", n),
+                        ("gates", tuple(gates))):
+        object.__setattr__(c, name, value)
+    return c
+
+
 def parse_circuit(text: str) -> Circuit:
     """Parse circuit text; every error begins `line N: `.
 
@@ -182,7 +193,7 @@ def parse_circuit(text: str) -> Circuit:
     if n is None:
         raise CircuitParseError(f"line {len(lines) + 1}: missing "
                                 f"`{'p' if p is None else 'n'}` header line")
-    return Circuit(p, n, gates)
+    return _checked_circuit(p, n, gates)
 
 
 def serialize_circuit(c: Circuit) -> str:
@@ -198,7 +209,7 @@ def normalize_to_standard_form(c: Circuit) -> Circuit:
     open_ = _open_registers(c, _last_gate_per_register(c))
     if not open_:
         return c
-    return Circuit(c.modulus, c.n, c.gates + tuple(
+    return _checked_circuit(c.modulus, c.n, c.gates + tuple(
         Gate.fourier(r) for r in open_ for _ in range(4)))
 
 

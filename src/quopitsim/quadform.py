@@ -5,12 +5,11 @@ upper-triangle entries sorted by column. `diagonalize` computes L
 invertible with L^T A L = diag(lambda) by rank-1 updates deferred in panels
 of PANEL pivots, so the trailing matrix is touched O(alpha/PANEL) times
 instead of O(alpha) times. The panel width and the flush block size are
-module constants, not parameters. The panel buffers are indexed by position,
-like the diagonal and the right-hand sides, so only the dense block moves
-when the window loads, grows or slides. They are never cleared: a pivot
-writes its panel row over the whole window, every read lies inside the
-current window, and neither end of the window ever moves back. The
-one-peel-at-a-time ground truth,
+module constants, not parameters. The panel buffers are indexed like the
+dense block's columns and are as wide as its buffer. They are never
+cleared: a pivot writes its panel row over the whole window, every read
+lies inside the current window, and neither end of the window ever moves
+back. The one-peel-at-a-time ground truth,
 `oracle.diagonalize_reference`, composes `oracle.split_step` literally; the
 tests require the same L and the same diagonal, entry for entry.
 
@@ -24,8 +23,14 @@ reach past the running maximum of the pivot rows' support bounds, so every
 entry beyond the loaded block is still an untouched entry of A; a
 coordinate's entries are loaded when the window or a fold first reaches
 it, up to a panel's width ahead while the buffer has room, and finished
-coordinates are dropped from the block. Memory is
-O(nnz(A) + w^2 + PANEL * alpha) for a window of w coordinates.
+coordinates are dropped from the block. The buffer is sized from the
+envelope (George and Liu 1981, ch. 4) before any numerical work: E, the
+widest window hi_t - t of the static row ends plus two panels, caps its
+growth by half again, and it grows past E, to a panel beyond the live
+block, only when deferred coordinates widen that block to within a panel
+of E. It is reallocated in place, so no grow holds two blocks. Memory is
+O(nnz(A) + c^2 + PANEL * c) for a buffer of c <= max(E, w + PANEL)
+coordinates, w the widest live block.
 
 The block is symmetric, so only its upper triangle is kept current: loads
 write the entries on and above the diagonal, each panel flush updates a row
@@ -299,11 +304,29 @@ def _row_ends(size: int, rows, cols) -> np.ndarray:
     return ext
 
 
+def _windows(ext: np.ndarray) -> np.ndarray:
+    # hi_t - t for each pivot t, hi_t the running maximum of the row ends:
+    # the window that pivot's updates can reach
+    return np.maximum.accumulate(ext) - np.arange(len(ext))
+
+
 def _block_work(ext: np.ndarray) -> int:
-    # sum over pivots t of (hi - t)^2, hi the running maximum of the row
-    # ends: the square of the window each pivot's updates can reach
-    hi = np.maximum.accumulate(ext)
-    return int(np.square(hi - np.arange(len(ext))).sum())
+    # the sum of the squared windows
+    return int(np.square(_windows(ext)).sum())
+
+
+def _capacity(size: int, cap: int, envelope: int, rest: int) -> int:
+    # the block buffer's capacity, now cap, for a live block of size
+    # coordinates out of rest: cap while the block fills at most three
+    # quarters of it, else half again the block while that stays below the
+    # envelope, else the envelope, or a panel past the block where deferred
+    # coordinates make it about as wide as the envelope; never above rest
+    if 4 * size <= 3 * cap:
+        return cap
+    grown = size + size // 2
+    if grown >= envelope:
+        grown = max(envelope, size + PANEL)
+    return max(cap, min(grown, rest))
 
 
 def _cuthill_mckee(S: SymmetricEntries) -> np.ndarray:
@@ -373,15 +396,15 @@ def diagonalize(theta, p: int, want_l: bool = False,
     slides, one stable compaction moves the finished positions of the
     window to its front in pivot order and the deferred ones behind them,
     so lambda, mu and L come out in pivot order and the pivot sequence is
-    the reference's. The panel buffers span all alpha positions and are
-    never cleared: a pivot writes its row over the whole window [t, hi),
-    every read lies in the window of a later pivot, and a compaction moves
-    the pending rows' columns with their coordinates. Only the block's upper
-    triangle is current; nothing reads below its diagonal. Arithmetic stays
-    exact: entries are integers carried in floats small enough to be exact,
-    reduced mod p only when read (the pivot row and the diagonal scan
-    through int64, the block in place before a fold); a (p, alpha) too
-    large for float64 raises ValueError.
+    the reference's. The panel buffers are indexed like the block's columns
+    and never cleared: a pivot writes its row over the whole window [t, hi),
+    every read lies in the window of a later pivot, and a compaction, slide
+    or grow moves the rows' columns with their coordinates. Only the block's
+    upper triangle is current; nothing reads below its diagonal. Arithmetic
+    stays exact: entries are integers carried in floats small enough to be
+    exact, reduced mod p only when read (the pivot row and the diagonal
+    scan through int64, the block in place before a fold); a (p, alpha)
+    too large for float64 raises ValueError.
 
     eta, of shape (alpha,) or (alpha, m), is a set of right-hand sides: row i
     belongs to coordinate i and follows every column operation on Theta, so
@@ -398,10 +421,14 @@ def diagonalize(theta, p: int, want_l: bool = False,
     with top >= hi is held dense; coordinates from top on still carry their
     original entries, which are loaded when the window or a fold first
     reaches them, up to PANEL coordinates ahead while the buffer has room.
-    Memory is O(nnz(theta) + w^2 + PANEL * alpha) for
-    a block of w coordinates; matrices from circuits are close to banded, so
-    the block is usually much narrower than the matrix. theta is eliminated
-    in the order given; `envelope_order` offers one of less block work.
+    The buffer grows in place, by half again up to the static envelope E,
+    the widest hi - t of theta's row ends plus two panels, and past it only
+    to a panel beyond a live block that deferred coordinates widen. Memory
+    is O(nnz(theta) + c^2 + PANEL * c) for a buffer of c <= max(E, w +
+    PANEL) coordinates, w the widest live block; matrices from circuits are
+    close to banded, so the block is usually much narrower than the matrix.
+    theta is eliminated in the order given; `envelope_order` offers one of
+    less block work.
 
     Each flush product of fewer than BLAS_SERIAL_MACS multiply-adds runs on
     one thread of numpy's bundled OpenBLAS, when its thread count can be
@@ -432,21 +459,26 @@ def diagonalize(theta, p: int, want_l: bool = False,
     d[rows[on_diag]] = vals[on_diag]
     lam = np.zeros(alpha, dtype=np.int64)
     ext = _row_ends(alpha, rows, cols)
+    # the widest static window, and room for loads to read ahead and for
+    # the block to slide seldom: the buffer grows no further unless
+    # deferred coordinates widen the live block past it
+    envelope = min(alpha, int(_windows(ext).max(initial=0)) + 2 * PANEL)
     # coordinate orig[k] of A sits at position k; pos is the inverse. Only
     # compactions permute, and only inside [t, front)
     orig = np.arange(alpha)
     pos = np.arange(alpha)
     # the dense block: position k at A[k - base], for base <= t <= k < top
     A = np.zeros((0, 0), dtype=dtype)
-    # the panel buffers, indexed by position like d and rhs, one row per
+    # the panel buffers, indexed like the block's columns, one row per
     # pending pivot: pivot j writes Vp[j] = wv_j and Wp[j] = row_j over its
     # window [t, hi), zero at finished positions. Nothing clears them: every
     # read lies in the window of the current step, neither of whose ends
     # moves back, a row holds values only left of the hi of its last write,
-    # so a reused row's old values lie left of t or under its new write, and
-    # a compaction moves the pending rows' columns with their coordinates
-    Vp = np.zeros((PANEL, alpha), dtype=dtype)
-    Wp = np.zeros((PANEL, alpha), dtype=dtype)
+    # so a reused row's old values lie left of t or under its new write; a
+    # compaction moves the pending rows' columns with their coordinates, and
+    # a slide or grow moves every row's with the block
+    Vp = np.zeros((PANEL, 0), dtype=dtype)
+    Wp = np.zeros((PANEL, 0), dtype=dtype)
     base = top = 0
     # right-hand sides: eta's m columns, then the identity when L is wanted
     m = 0 if eta is None else (eta_shape[1] if len(eta_shape) == 2 else 1)
@@ -484,9 +516,11 @@ def diagonalize(theta, p: int, want_l: bool = False,
         t += len(holes)
         holes = []
         if live.size:
-            for x in (d, ext, Vp[:j].T, Wp[:j].T):
+            for x in (d, ext):
                 x[t:front] = x[live]
             r, k, f, end = live - base, t - base, front - base, top - base
+            for x in (Vp[:j].T, Wp[:j].T):
+                x[k:f] = x[r]
             A[k:f, f:end] = A[r, f:end]
             A[k:f, k:f] = A[np.ix_(r, r)]
             done[t:front] = False
@@ -498,32 +532,45 @@ def diagonalize(theta, p: int, want_l: bool = False,
         # there, since no update reaches past hi <= top, so coordinate c
         # loads as its original column. Finished positions have no entry
         # that far out.
-        nonlocal A, base, top
+        nonlocal A, Vp, Wp, base, top
         if end <= top:
             return
         if end - base > A.shape[0]:
-            # the grow policy and the moves below see only live positions
+            # the capacity and the moves below see only live positions
             compact()
-            live, size = top - t, end - t
-            # grow to half again the block, or to the remaining coordinates
-            # if fewer, when it would fill more than three quarters of the
-            # buffer, else slide it to the front, which frees at least a
-            # quarter: either way O(w^2) copying buys O(w) pivots
-            if 4 * size > 3 * A.shape[0]:
-                cap = min(size + size // 2, alpha - t)
-                grown = np.zeros((cap, cap), dtype=dtype)
-                kept = slice(t - base, top - base)
-                grown[:live, :live] = A[kept, kept]
-                A = grown
-            else:
-                # in row blocks no taller than the shift, so no block
-                # overlaps its source
-                shift = t - base
-                for r0 in range(0, live, shift):
-                    r1 = min(r0 + shift, live)
+            live, size, cap = top - t, end - t, A.shape[0]
+            # slide the block and the panel columns to the front, in blocks
+            # of rows that numpy copies first where they overlap their
+            # source. The rest of the panel rows is cleared: it lies right
+            # of every hi so far, where a reused row must read zero
+            shift = t - base
+            if shift:
+                for r0 in range(0, live, PANEL):
+                    r1 = min(r0 + PANEL, live)
                     A[r0:r1, :live] = A[r0 + shift:r1 + shift,
                                         shift:shift + live]
+                for P in (Vp, Wp):
+                    P[:, :live] = P[:, shift:shift + live]
+                    P[:, live:] = 0
             base = t
+            # a slide frees at least a quarter of the buffer, or the margin
+            # at the envelope: either way O(w^2) copying buys O(w) pivots
+            grown = _capacity(size, cap, envelope, alpha - t)
+            if grown > cap:
+                if cap:
+                    # numpy reallocates the buffer, so no second block is
+                    # ever held (no view of it is alive here); its rows,
+                    # still cap apart, are re-laid from the last back, so
+                    # none lands on a row not yet moved
+                    A.resize((grown, grown), refcheck=False)
+                    laid = A.reshape(-1)[:live * cap].reshape(live, cap)
+                    for r1 in range(live, 0, -PANEL):
+                        r0 = max(0, r1 - PANEL)
+                        A[r0:r1, :live] = laid[r0:r1, :live]
+                else:
+                    A = np.zeros((grown, grown), dtype=dtype)
+                Vp, Wp = (np.pad(P, ((0, 0), (0, grown - cap)))
+                          for P in (Vp, Wp))
         end = min(alpha, end + PANEL, base + A.shape[0])
         # only the new columns' upper triangle: every loaded entry sits
         # above the diagonal, since pos[r] < top <= c or pos[r] = r <= c
@@ -555,8 +602,8 @@ def diagonalize(theta, p: int, want_l: bool = False,
                 for r0, r1 in row_blocks(end):
                     block = A[r0:r1, r0:end]
                     fit_threads(j * (r1 - r0) * (end - r0))
-                    np.subtract(block, Vp[:j, base + r0:base + r1].T
-                                @ Wp[:j, base + r0:hi], out=block)
+                    np.subtract(block, Vp[:j, r0:r1].T @ Wp[:j, r0:end],
+                                out=block)
             j = 0
 
     def reduce_and_find():
@@ -633,7 +680,7 @@ def diagonalize(theta, p: int, want_l: bool = False,
         i, k, end = t - base, u - base, hi - base
         row = np.concatenate((A[i:k, k], A[k, k:end]))
         if j:
-            row -= Vp[:j, u] @ Wp[:j, t:hi]
+            row -= Vp[:j, k] @ Wp[:j, i:end]
         # reduced through int64, exact for these integers below 2^53 and
         # much cheaper than a float mod
         ri = row.astype(np.int64) % p
@@ -644,8 +691,8 @@ def diagonalize(theta, p: int, want_l: bool = False,
         wv = (ri * ainv % p).astype(dtype)
         d[t:hi] -= wv * row
         d[u] = 0
-        Vp[j, t:hi] = wv
-        Wp[j, t:hi] = row
+        Vp[j, i:end] = wv
+        Wp[j, i:end] = row
         rhs[t:hi] -= wv[:, None] * (rhs[u] % p)
         if u == t and not holes:
             t += 1

@@ -142,6 +142,28 @@ def test_amplitude_scans_last_gates_twice(monkeypatch):
     assert len(calls) == 2
 
 
+def test_parse_and_normalize_check_each_gate_once(monkeypatch):
+    # the parser checks each gate's registers on its line, and neither the
+    # circuit it returns nor the normalized one checks them again
+    checked = []
+    check = circuit._check_registers
+
+    def counted(gates, n):
+        checked.extend(gates)
+        return check(gates, n)
+
+    monkeypatch.setattr(circuit, "_check_registers", counted)
+    c = parse_circuit("p 3\nn 2\nF 0\nSUM 0 1\nR 1\n")
+    assert checked == list(c.gates)
+    cn = normalize_to_standard_form(c)
+    assert checked == list(c.gates)
+    assert cn == Circuit(3, 2, cn.gates) and cn.standard_form
+    # a circuit built by hand is still checked whole
+    checked.clear()
+    Circuit(3, 2, c.gates)
+    assert checked == list(c.gates)
+
+
 def test_normalize_appends_four_fouriers():
     c = make_circuit(3, 2, [Gate.phase(0)])
     cn = normalize_to_standard_form(c)

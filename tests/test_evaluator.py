@@ -397,8 +397,11 @@ def test_benchmark_classes_are_routed():
 
 def test_wide_amplitude_memory_is_bounded():
     # the canonical elimination of this form (alpha = 3759) peaks at
-    # 138 MB, since its dense float64 block spans nearly every coordinate;
-    # in Cuthill-McKee order the peak was 76 MB
+    # 138 MB, since its dense float64 block spans nearly every coordinate.
+    # In Cuthill-McKee order the whole call peaks at 46.2 MB: the block
+    # buffer, sized from the static envelope, holds 1894 coordinates
+    # (27.4 MB), where growing by half again reached 2238 and held two
+    # blocks at once during a grow (76 MB)
     c, a, b = _class_circuit(10007, 200)
     tracemalloc.start()
     try:
@@ -407,4 +410,31 @@ def test_wide_amplitude_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert rep == _canonical(c, a, b)
-    assert peak < 115 * 2 ** 20, peak / 2 ** 20
+    assert peak < 55 * 2 ** 20, peak / 2 ** 20
+
+
+def test_wide_elimination_holds_one_block_at_a_time(monkeypatch):
+    # the buffer never outgrows the envelope on this form, and a grow
+    # reallocates it in place: the traced peak is the final block plus a
+    # flush product of FLUSH_ENTRIES entries and the panels, not two blocks
+    caps = []
+    capacity = quadform._capacity
+
+    def record(*args):
+        caps.append(capacity(*args))
+        return caps[-1]
+    monkeypatch.setattr(quadform, "_capacity", record)
+    c, a, b = _class_circuit(10007, 200)
+    q = phase_polynomial_direct(normalize_to_standard_form(c), a, b)
+    order = quadform.envelope_order(q.theta_entries)
+    S = q.theta_entries.permuted(order)
+    tracemalloc.start()
+    try:
+        quadform.diagonalize(S, 10007, eta=q.eta[order])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    windows = quadform._windows(quadform._row_ends(S.size, S.rows, S.cols))
+    assert max(caps) <= windows.max() + 2 * quadform.PANEL
+    block = max(caps) ** 2 * np.dtype(np.float64).itemsize
+    assert peak < 1.5 * block, (peak / 2 ** 20, block / 2 ** 20)

@@ -257,15 +257,17 @@ def _assert_panels_match(A, p: int, monkeypatch, panels=COMPACTION_PANELS):
         _assert_same(diagonalize(A, p, want_l=True, eta=eta), ref, eta, p)
 
 
-def _band_with_deferred(rng, p: int, alpha: int, partners) -> np.ndarray:
-    # a band of nonzero diagonal entries in which each coordinate z of
+def _band_with_deferred(rng, p: int, alpha: int, partners,
+                        band: int = 2) -> np.ndarray:
+    # a band of half-width band with a nonzero diagonal, in which each
+    # coordinate z of
     # partners has a zero diagonal and meets only the coordinates
     # partners[z]: z is deferred until the first of them is eliminated,
     # which gives z a nonzero diagonal, and z is then the next pivot, left
     # of the one that revived it
     A = random_symmetric(rng, alpha, p)
     r, c = np.indices(A.shape)
-    A[np.abs(r - c) > 2] = 0
+    A[np.abs(r - c) > band] = 0
     np.fill_diagonal(A, rng.integers(1, p, size=alpha))
     for z, others in partners.items():
         A[z] = A[:, z] = 0
@@ -340,6 +342,60 @@ def test_block_buffer_holds_only_live_coordinates(monkeypatch):
     # 1 .. alpha - 1 in order, then 0, revived to -1/v[-1]
     assert res.diagonal.tolist() == [*v[1:], (-pow(int(v[-1]), -1, 5)) % 5]
     assert 0 < max(sides) <= 8
+
+
+def test_block_buffer_grows_in_place_only_as_the_live_block_needs(
+        monkeypatch):
+    # the form above, whose static envelope spans every coordinate, since
+    # coordinate 0 meets the last one. Grows after the first allocation
+    # reallocate the buffer instead of calling np.zeros, so the capacities
+    # are recorded where they are chosen
+    alpha = 400
+    v = np.arange(alpha) % 4 + 1
+    A = np.diag(v)
+    A[0, 0] = 0
+    A[0, -1] = A[-1, 0] = 1
+    caps = []
+    capacity = quadform._capacity
+
+    def record(*args):
+        caps.append(capacity(*args))
+        return caps[-1]
+    monkeypatch.setattr(quadform, "_capacity", record)
+    res = diagonalize(A, 5)
+    assert res.diagonal.tolist() == [*v[1:], (-pow(int(v[-1]), -1, 5)) % 5]
+    assert 0 < max(caps) <= 8
+
+
+def test_deferred_coordinates_widen_the_block_past_the_envelope(
+        monkeypatch):
+    # ten zero-diagonal coordinates just left of w meet only w, so all ten
+    # wait for it: the live block when w is eliminated spans them and w's
+    # band, about twice the widest static window hi_t - t, and with small
+    # panels the envelope's margin cannot hold it, so the buffer grows a
+    # panel at a time past the envelope
+    grows = []
+    capacity = quadform._capacity
+
+    def record(size, cap, envelope, rest):
+        grown = capacity(size, cap, envelope, rest)
+        if grown > cap:
+            grows.append((size, envelope, grown))
+        return grown
+    monkeypatch.setattr(quadform, "_capacity", record)
+    rng = np.random.default_rng(113)
+    for p in (5, 10007):
+        A = _band_with_deferred(
+            rng, p, 120,
+            {z: (w,) for w in (30, 70, 100) for z in range(w - 10, w)},
+            band=10)
+        for panel in (1, 2, 3, 7):
+            grows.clear()
+            _assert_panels_match(A, p, monkeypatch, panels=(panel,))
+            past = [(size, grown) for size, envelope, grown in grows
+                    if size > envelope]
+            assert past and all(grown == size + panel
+                                for size, grown in past)
 
 
 def test_fold_follows_a_compaction(monkeypatch):
