@@ -260,11 +260,10 @@ def _assert_panels_match(A, p: int, monkeypatch, panels=COMPACTION_PANELS):
 def _band_with_deferred(rng, p: int, alpha: int, partners,
                         band: int = 2) -> np.ndarray:
     # a band of half-width band with a nonzero diagonal, in which each
-    # coordinate z of
-    # partners has a zero diagonal and meets only the coordinates
-    # partners[z]: z is deferred until the first of them is eliminated,
-    # which gives z a nonzero diagonal, and z is then the next pivot, left
-    # of the one that revived it
+    # coordinate z of partners has a zero diagonal and meets only the
+    # coordinates partners[z]: z is deferred until the first of them is
+    # eliminated, which gives z a nonzero diagonal, and z is then the next
+    # pivot, left of the one that revived it
     A = random_symmetric(rng, alpha, p)
     r, c = np.indices(A.shape)
     A[np.abs(r - c) > band] = 0
@@ -372,8 +371,8 @@ def test_deferred_coordinates_widen_the_block_past_the_envelope(
     # ten zero-diagonal coordinates just left of w meet only w, so all ten
     # wait for it: the live block when w is eliminated spans them and w's
     # band, about twice the widest static window hi_t - t, and with small
-    # panels the envelope's margin cannot hold it, so the buffer grows a
-    # panel at a time past the envelope
+    # panels the envelope's margin cannot hold it, so the buffer grows past
+    # the envelope, to a panel beyond the live block
     grows = []
     capacity = quadform._capacity
 
