@@ -7,11 +7,11 @@ from .circuit import (CapExceeded, Circuit, CircuitParseError, Gate,
 from .evaluator import (AmplitudeReport, amplitude, amplitude_table,
                         balance_weight, probability, weil_sum)
 from .fields import ExactScalar, FieldElement, OddPrime, inverse_mod, legendre
-from .oracle import (brute_force_path_sum, dense_amplitude, dense_state,
-                     diagonalize_reference, extract_phase_polynomial, gf_rank,
+from .oracle import (AffineForm, LabeledCircuit, brute_force_path_sum,
+                     dense_amplitude, dense_state, diagonalize_reference,
+                     extract_phase_polynomial, gf_rank, label_circuit,
                      split_step)
-from .pathsum import (AffineForm, LabeledCircuit, QuadraticForm,
-                      label_circuit, phase_polynomial_direct)
+from .pathsum import QuadraticForm, phase_polynomial_direct
 from .quadform import DiagonalizationResult, SymmetricEntries, diagonalize
 
 __version__ = "0.1.0"

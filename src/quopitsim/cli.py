@@ -8,7 +8,9 @@ or a modulus too large for exact elimination), 2 brute-force cap exceeded.
 
 `amp --explain` and `prob --explain` run one extraction and one elimination
 (keeping L), print their derivation, and assemble the printed answer from
-that same run.
+that same run: the wire labels are rendered from the extraction's register
+rows as it sweeps the circuit. `check` likewise extracts once per trial and
+hands the same S(x) to the closed form and to the path-sum oracle.
 """
 from __future__ import annotations
 
@@ -20,13 +22,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuit import (CapExceeded, Circuit, CircuitParseError,
-                      classify_fourier_gates, normalize_to_standard_form,
-                      parse_circuit, serialize_circuit)
-from .evaluator import (amplitude, amplitude_table, assemble_amplitude,
-                        balance_weight)
+from .circuit import (FOURIER, PHASE, CapExceeded, Circuit,
+                      CircuitParseError, classify_fourier_gates,
+                      normalize_to_standard_form, parse_circuit,
+                      serialize_circuit)
+from .evaluator import (_evaluate, amplitude, amplitude_table,
+                        assemble_amplitude, balance_weight)
 from .oracle import PATH_ENUM_CAP, brute_force_path_sum, dense_amplitude
-from .pathsum import (label_circuit, phase_polynomial_direct, render_labels,
+from .pathsum import (_extract_b_free, _fold_outcome,
+                      phase_polynomial_direct, render_label,
                       render_phase_polynomial, variable_name)
 from .quadform import diagonalize
 
@@ -91,21 +95,47 @@ def _parse_tuple(text: str, n: int, p: int, flag: str) -> tuple[int, ...]:
     return values
 
 
+def _registers(labels) -> str:
+    return ", ".join(f"reg{r} = {label}" for r, label in enumerate(labels))
+
+
 def _explain(cn: Circuit, a, b):
     """The dump text and the report for <b|U|a>, both from one extraction
-    and one elimination: the dump prints its L, and its diagonal and mu
-    give the report."""
+    and one elimination: the extraction's rows give the wire labels, the
+    dump prints its L, and its diagonal and mu give the report."""
     p = int(cn.modulus)
-    q = phase_polynomial_direct(cn, a, b)
+    labels = [str(v) for v in a]
+    lines = ["inputs: " + _registers(labels)]
+
+    def record(gate, rows, const):
+        # an in-label is the register's last out-label; only SUM's target
+        # and F's register get a new one
+        regs = gate.registers
+        ins = ", ".join(labels[r] for r in regs)
+        if gate.kind != PHASE:
+            r = regs[-1]
+            label = render_label(rows[r, 1:], const[r])
+            # the pass leaves a terminal F's register as it was, while a
+            # non-terminal F gives it a path variable no wire had before
+            if gate.kind == FOURIER and label == labels[r]:
+                label = str(b[r])
+            labels[r] = label
+        outs = ", ".join(labels[r] for r in regs)
+        if len(regs) == 2:
+            ins, outs = f"({ins})", f"({outs})"
+        head = " ".join([gate.kind, *map(str, regs)])
+        lines.append(f"gate {len(lines)} ({head}): in {ins} -> out {outs}")
+
+    q = _fold_outcome(cn, *_extract_b_free(cn, a, record), b)
     res = diagonalize(q.theta_entries, p, want_l=True, eta=q.eta)
     rep = assemble_amplitude(cn, q, res.diagonal, res.mu)
     groups = {"X": [], "Y": [], "Z": []}
     for i, (lam, mu) in enumerate(zip(res.diagonal, res.mu)):
         key = "X" if lam else ("Z" if mu else "Y")
         groups[key].append(variable_name(i))
-    lines = [f"standard form: p = {p}, n = {cn.n}, gates = {len(cn.gates)}, "
-             f"alpha = {len(q.eta)}"]
-    lines += render_labels(label_circuit(cn, a, b))
+    lines.insert(0, f"standard form: p = {p}, n = {cn.n}, "
+                    f"gates = {len(cn.gates)}, alpha = {len(q.eta)}")
+    lines.append("outputs: " + _registers(labels))
     lines.append(render_phase_polynomial(q))
     lines.append("Theta =")
     lines += map(_vec, q.theta_entries.dense_rows())
@@ -198,10 +228,10 @@ def cmd_check(args) -> int:
         # the dense oracle first: past its cap it refuses at once, before
         # the closed form has run
         dense = dense_amplitude(cn, a, b)
-        closed = amplitude(cn, a, b).amplitude.to_complex()
+        q = phase_polynomial_direct(cn, a, b)
+        closed = _evaluate(cn, q).amplitude.to_complex()
         max_dense = max(max_dense, abs(closed - dense))
         if not skip_path:
-            q = phase_polynomial_direct(cn, a, b)
             max_path = max(max_path, abs(closed - brute_force_path_sum(q, n)))
     print(f"p = {p}, n = {n}, alpha = {alpha}, trials = {args.trials}, "
           f"seed = {args.seed}")

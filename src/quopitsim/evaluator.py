@@ -18,20 +18,22 @@ Only mu and zeta depend on the transition, and both are affine in (a, b).
 `_closed_form` therefore evaluates the formula for a whole matrix of mu
 columns at once. A single amplitude is one column, which
 `assemble_amplitude` evaluates from one extraction and one diagonalization:
-`amplitude` runs them, and `--explain` runs them with L kept for printing.
+`amplitude` runs them (the elimination in its private step `_evaluate`,
+which `check` also calls on the phase polynomial it enumerates), and
+`--explain` runs them with L kept for printing.
 An outcome table runs one b-free extraction, whose final register rows are
 d eta / d b_i and d zeta / d b_i, hands `diagonalize` the right-hand sides
 [eta(b = 0) | d eta / d b_i], and expands them to every outcome b in
 fixed-size chunks, without forming L.
 
-Only `amplitude` (and `balance_weight` through it) may eliminate Theta in
-another order, the one `quadform.envelope_order` offers when it lowers the
-block work: P^T Theta P with eta permuted alike is a congruence, under
-which the amplitude, the probability, the rank, alpha, the weight and
-whether Z is empty are invariant. |Z| is not in general, but Z lies among
-the alpha - r coordinates with lambda_i = 0, so where alpha - r <= 1 it
-is 0 or 1 in every order, fixed by whether the amplitude is zero. A
-reordered elimination that finds Z nonempty with alpha - r >= 2 is redone
+Only `_evaluate` may eliminate Theta in another order, the one
+`quadform.envelope_order` offers when it lowers the block work: P^T Theta P
+with eta permuted alike is a congruence, under which the amplitude, the
+probability, the rank, alpha, the weight and whether Z is empty are
+invariant. |Z| is not in general, but Z lies among the alpha - r
+coordinates with lambda_i = 0, so where alpha - r <= 1 it is 0 or 1 in
+every order, fixed by whether the amplitude is zero. A reordered
+elimination that finds Z nonempty with alpha - r >= 2 is redone
 canonically, so every report field is the canonical one. Tables and
 `--explain` eliminate in the canonical order, since they print or expand
 the diagonal and mu themselves.
@@ -141,7 +143,14 @@ def assemble_amplitude(cn: Circuit, q: QuadraticForm, diagonal: np.ndarray,
 
 def amplitude(c: Circuit, a, b) -> AmplitudeReport:
     """Exact transition amplitude <b|U|a>. The circuit is brought to standard
-    form first, so any circuit is accepted.
+    form first, so any circuit is accepted."""
+    cn = normalize_to_standard_form(c)
+    return _evaluate(cn, phase_polynomial_direct(cn, a, b))
+
+
+def _evaluate(cn: Circuit, q: QuadraticForm) -> AmplitudeReport:
+    """The report for the standard-form circuit cn from its phase
+    polynomial q.
 
     When `quadform.envelope_order` offers an order, Theta is eliminated in
     it, with eta permuted alike. Every field of the report is then the
@@ -152,9 +161,7 @@ def amplitude(c: Circuit, a, b) -> AmplitudeReport:
     and the two agree; only a reordered run that finds Z nonempty with
     alpha - r >= 2 is redone in the canonical order.
     """
-    cn = normalize_to_standard_form(c)
     p = int(cn.modulus)
-    q = phase_polynomial_direct(cn, a, b)
     S = q.theta_entries
     order = envelope_order(S)
     if order is not None:

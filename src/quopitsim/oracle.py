@@ -5,22 +5,27 @@ gate matrices, and a direct enumeration of the path-sum formula
 p^(-(n+alpha)/2) * sum over x in F_p^alpha of chi(S(x)).
 
 Beside them, the literal versions of two pipeline stages, which the tests
-hold the production engines to: `extract_phase_polynomial` expands S(x)
-gate by gate from the wire labels of `pathsum.label_circuit`, and
-`diagonalize_reference` composes the one-coordinate peel `split_step`. The
-Gaussian-elimination `gf_rank` cross-checks ranks independently of both.
-No production module imports this one.
+hold the production engines to: `label_circuit` runs the labeling procedure
+gate by gate, building each wire's `AffineForm`, and
+`extract_phase_polynomial` expands S(x) from those labels; the streaming
+`pathsum._extract_b_free` must give the same S(x), and `--explain` the same
+label lines. `diagonalize_reference` composes the one-coordinate peel
+`split_step`. The Gaussian-elimination `gf_rank` cross-checks ranks
+independently of both. No production module imports this one.
 """
 from __future__ import annotations
 
 import cmath
 import functools
+from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import FOURIER, PHASE, CapExceeded, Circuit
+from .circuit import (FOURIER, NON_TERMINAL, PHASE, SUM, CapExceeded,
+                      Circuit, classify_fourier_gates)
 from .fields import inverse_mod
-from .pathsum import AffineForm, LabeledCircuit, QuadraticForm
+from .pathsum import (QuadraticForm, _check_tuples, _render_sum, _term,
+                      variable_name)
 from .quadform import DiagonalizationResult, _as_symmetric, _pick_dtype
 
 DENSE_DIM_CAP = 10_000
@@ -121,6 +126,93 @@ def brute_force_path_sum(q, n: int) -> complex:
     eta = np.asarray(q.eta, dtype=np.int64)
     s = (np.einsum("xi,ij,xj->x", grid, theta, grid) + grid @ eta + q.zeta) % p
     return prefactor * chi_table(p)[s].sum()
+
+
+@dataclass(frozen=True)
+class AffineForm:
+    """constant + sum of coeff * x_var over F_p; zero coefficients dropped."""
+
+    modulus: int
+    constant: int
+    coeffs: tuple[tuple[int, int], ...] = ()
+
+    @classmethod
+    def build(cls, modulus: int, constant: int, coeffs=()) -> "AffineForm":
+        items = {}
+        for var, coeff in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
+            coeff = coeff % modulus
+            if coeff:
+                items[var] = coeff
+        return cls(modulus, constant % modulus, tuple(sorted(items.items())))
+
+    @classmethod
+    def const(cls, modulus: int, value: int) -> "AffineForm":
+        return cls(modulus, value % modulus)
+
+    @classmethod
+    def variable(cls, modulus: int, var: int) -> "AffineForm":
+        return cls(modulus, 0, ((var, 1),))
+
+    def __add__(self, other) -> "AffineForm":
+        if isinstance(other, int):
+            return AffineForm(self.modulus, (self.constant + other) % self.modulus,
+                              self.coeffs)
+        if other.modulus != self.modulus:
+            raise ValueError("modulus mismatch")
+        merged = dict(self.coeffs)
+        for var, coeff in other.coeffs:
+            merged[var] = merged.get(var, 0) + coeff
+        return AffineForm.build(self.modulus,
+                                self.constant + other.constant, merged)
+
+    def render(self) -> str:
+        parts = [_term(c, variable_name(v)) for v, c in self.coeffs]
+        return _render_sum(parts, self.constant)
+
+
+@dataclass(frozen=True)
+class LabeledCircuit:
+    """A standard-form circuit with a wire label per register per time step.
+
+    snapshots[0] holds the input labels; snapshots[i+1] the labels after gate
+    i. Gate i's in/out labels are read off the two adjacent snapshots.
+    """
+
+    circuit: Circuit
+    alpha: int
+    snapshots: tuple[tuple[AffineForm, ...], ...]
+
+    def gate_inputs(self, i: int) -> tuple[AffineForm, ...]:
+        before = self.snapshots[i]
+        return tuple(before[r] for r in self.circuit.gates[i].registers)
+
+    def gate_outputs(self, i: int) -> tuple[AffineForm, ...]:
+        after = self.snapshots[i + 1]
+        return tuple(after[r] for r in self.circuit.gates[i].registers)
+
+
+def label_circuit(c: Circuit, a, b) -> LabeledCircuit:
+    """Run the labeling procedure: inputs a_i; R and bare wires propagate;
+    SUM maps (s, t) to (s, s+t); the l-th non-terminal Fourier gate outputs
+    x_l; terminal Fourier gates output the constants b_i."""
+    roles, alpha = classify_fourier_gates(c)
+    a, b = _check_tuples(c, a, b)
+    p = int(c.modulus)
+    labels = [AffineForm.const(p, v) for v in a]
+    snapshots = [tuple(labels)]
+    next_var = 0
+    for i, gate in enumerate(c.gates):
+        if gate.kind == FOURIER:
+            if roles[i] == NON_TERMINAL:
+                labels[gate.register] = AffineForm.variable(p, next_var)
+                next_var += 1
+            else:
+                labels[gate.register] = AffineForm.const(p, b[gate.register])
+        elif gate.kind == SUM:
+            labels[gate.target] = labels[gate.control] + labels[gate.target]
+        # phase gates propagate the label unchanged
+        snapshots.append(tuple(labels))
+    return LabeledCircuit(c, alpha, tuple(snapshots))
 
 
 def _accumulate_product(theta, eta, u: AffineForm, v: AffineForm,

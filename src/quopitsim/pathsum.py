@@ -1,4 +1,4 @@
-"""Wire labeling and the phase-polynomial extractor every evaluation runs.
+"""The phase-polynomial extractor every evaluation runs.
 
 Every wire of a standard-form circuit carries a label that is affine in the
 path variables x_l (one per non-terminal Fourier gate, numbered in file
@@ -16,25 +16,26 @@ from extraction through elimination, which then works in a sliding dense
 window, so memory is O(nnz(Theta) + w^2) rather than O(alpha^2); a dense
 Theta is built only when `QuadraticForm.theta` is read.
 
-`phase_polynomial_direct` streams that pass; `amplitude`, tables and
-`--explain` all take S(x) from it. `label_circuit` builds the per-wire
-labels that `--explain` prints. The literal expansion of S(x) from those
-labels, `oracle.extract_phase_polynomial`, is the reference the tests hold
-the streaming extractor to. `variable_name` is the one rule by which path
-variables print (x1, x2, ...): in wire labels, in S(x) and in
-`--explain`'s X/Y/Z partition.
+`_extract_b_free` is that pass: it holds each register's label as a
+coefficient row and a constant, and can hand them to a per-gate callback,
+through which `--explain` prints the labels (`render_label`) from the same
+pass that gives its S(x). `phase_polynomial_direct` folds b into the pass's
+result; `amplitude`, tables and `--explain` all take S(x) from it. The
+reference labeler and the literal expansion of S(x) from its labels live in
+`oracle`, which the tests hold the streaming extractor to. `variable_name`
+is the one rule by which path variables print (x1, x2, ...): in wire
+labels, in S(x) and in `--explain`'s X/Y/Z partition.
 """
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import (FOURIER, NON_TERMINAL, SUM, Circuit,
+from .circuit import (NON_TERMINAL, PHASE, SUM, Circuit,
                       classify_fourier_gates)
 from .fields import inverse_mod
-from .quadform import SymmetricEntries, _as_symmetric, _pick_dtype
+from .quadform import SymmetricEntries, _as_int64, _as_symmetric, _pick_dtype
 
 
 def variable_name(l: int) -> str:
@@ -55,67 +56,11 @@ def _render_sum(parts: list[str], constant: int) -> str:
     return " + ".join(parts)
 
 
-@dataclass(frozen=True)
-class AffineForm:
-    """constant + sum of coeff * x_var over F_p; zero coefficients dropped."""
-
-    modulus: int
-    constant: int
-    coeffs: tuple[tuple[int, int], ...] = ()
-
-    @classmethod
-    def build(cls, modulus: int, constant: int, coeffs=()) -> "AffineForm":
-        items = {}
-        for var, coeff in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
-            coeff = coeff % modulus
-            if coeff:
-                items[var] = coeff
-        return cls(modulus, constant % modulus, tuple(sorted(items.items())))
-
-    @classmethod
-    def const(cls, modulus: int, value: int) -> "AffineForm":
-        return cls(modulus, value % modulus)
-
-    @classmethod
-    def variable(cls, modulus: int, var: int) -> "AffineForm":
-        return cls(modulus, 0, ((var, 1),))
-
-    def __add__(self, other) -> "AffineForm":
-        if isinstance(other, int):
-            return AffineForm(self.modulus, (self.constant + other) % self.modulus,
-                              self.coeffs)
-        if other.modulus != self.modulus:
-            raise ValueError("modulus mismatch")
-        merged = dict(self.coeffs)
-        for var, coeff in other.coeffs:
-            merged[var] = merged.get(var, 0) + coeff
-        return AffineForm.build(self.modulus,
-                                self.constant + other.constant, merged)
-
-    def render(self) -> str:
-        parts = [_term(c, variable_name(v)) for v, c in self.coeffs]
-        return _render_sum(parts, self.constant)
-
-
-@dataclass(frozen=True)
-class LabeledCircuit:
-    """A standard-form circuit with a wire label per register per time step.
-
-    snapshots[0] holds the input labels; snapshots[i+1] the labels after gate
-    i. Gate i's in/out labels are read off the two adjacent snapshots.
-    """
-
-    circuit: Circuit
-    alpha: int
-    snapshots: tuple[tuple[AffineForm, ...], ...]
-
-    def gate_inputs(self, i: int) -> tuple[AffineForm, ...]:
-        before = self.snapshots[i]
-        return tuple(before[r] for r in self.circuit.gates[i].registers)
-
-    def gate_outputs(self, i: int) -> tuple[AffineForm, ...]:
-        after = self.snapshots[i + 1]
-        return tuple(after[r] for r in self.circuit.gates[i].registers)
+def render_label(row: np.ndarray, constant: int) -> str:
+    """The wire label constant + sum of row[l] * x_l, zero terms dropped."""
+    nz = np.flatnonzero(row)
+    return _render_sum([_term(c, variable_name(l)) for l, c in
+                        zip(nz.tolist(), row[nz].tolist())], constant)
 
 
 class QuadraticForm:
@@ -126,6 +71,9 @@ class QuadraticForm:
     evaluation needs O(nnz(Theta) + w^2) memory for a window of w
     coordinates. The constructor also takes a dense symmetric theta. The
     read-only dense `theta` is built from the entries each time it is read.
+    eta is kept as a read-only int64 copy, one entry per coordinate of
+    theta (ValueError otherwise); a theta or eta that does not hold
+    integers raises TypeError.
     """
 
     __slots__ = ("modulus", "theta_entries", "eta", "zeta")
@@ -135,9 +83,12 @@ class QuadraticForm:
         self.theta_entries = (theta if isinstance(theta, SymmetricEntries)
                               else SymmetricEntries.from_dense(
                                   _as_symmetric(theta, int(modulus))))
-        self.eta = eta
+        self.eta = _as_int64(eta, "eta")
+        if self.eta.shape != (self.theta_entries.size,):
+            raise ValueError(f"eta must have {self.theta_entries.size} "
+                             f"entries, got shape {self.eta.shape}")
         self.zeta = zeta
-        eta.setflags(write=False)
+        self.eta.setflags(write=False)
 
     @property
     def theta(self) -> np.ndarray:
@@ -162,31 +113,8 @@ def _check_tuples(c: Circuit, *tuples) -> list[tuple[int, ...]]:
     return [tuple(operator.index(v) % p for v in t) for t in tuples]
 
 
-def label_circuit(c: Circuit, a, b) -> LabeledCircuit:
-    """Run the labeling procedure: inputs a_i; R and bare wires propagate;
-    SUM maps (s, t) to (s, s+t); the l-th non-terminal Fourier gate outputs
-    x_l; terminal Fourier gates output the constants b_i."""
-    roles, alpha = classify_fourier_gates(c)
-    a, b = _check_tuples(c, a, b)
-    p = int(c.modulus)
-    labels = [AffineForm.const(p, v) for v in a]
-    snapshots = [tuple(labels)]
-    next_var = 0
-    for i, gate in enumerate(c.gates):
-        if gate.kind == FOURIER:
-            if roles[i] == NON_TERMINAL:
-                labels[gate.register] = AffineForm.variable(p, next_var)
-                next_var += 1
-            else:
-                labels[gate.register] = AffineForm.const(p, b[gate.register])
-        elif gate.kind == SUM:
-            labels[gate.target] = labels[gate.control] + labels[gate.target]
-        # phase gates propagate the label unchanged
-        snapshots.append(tuple(labels))
-    return LabeledCircuit(c, alpha, tuple(snapshots))
-
-
-def _extract_b_free(c: Circuit, a) -> tuple[QuadraticForm, np.ndarray]:
+def _extract_b_free(c: Circuit, a,
+                    record=None) -> tuple[QuadraticForm, np.ndarray]:
     """One streaming pass over a standard-form circuit for input a: the
     phase polynomial at outcome b = 0 and the final register rows
     (n x (alpha + 1), constant followed by the alpha path-variable
@@ -195,6 +123,12 @@ def _extract_b_free(c: Circuit, a) -> tuple[QuadraticForm, np.ndarray]:
     The outcome only enters at the terminal Fourier gates, where b_r
     multiplies register r's final label, so those gates add nothing here:
     d eta / d b_r = rows[r, 1:] and d zeta / d b_r = rows[r, 0].
+
+    record, when given, is called after each gate as record(gate, rows,
+    const) with the live rows and constants: register r's label is then
+    const[r] + sum of rows[r, 1 + l] * x_l (column 0 is filled in only
+    after the pass), except after a terminal Fourier gate, which leaves its
+    register as it was, though its label is now b_r.
 
     Theta is never dense: each gate's term is kept as the support and
     coefficients of its register row, and the terms are coalesced into
@@ -235,24 +169,7 @@ def _extract_b_free(c: Circuit, a) -> tuple[QuadraticForm, np.ndarray]:
             seg %= p
             lo[tgt] = start
             const[tgt] = (const[tgt] + const[ctl]) % p
-        elif kind == FOURIER:
-            if roles[i] != NON_TERMINAL:
-                continue
-            r = gate.register
-            start = lo[r]
-            active = rows[r, start:width]
-            nz = np.flatnonzero(active)
-            l = next_var
-            next_var += 1
-            if nz.size:
-                crosses.append((nz + (start - 1), active[nz], l))
-            eta[l] += const[r]
-            const[r] = 0
-            active[:] = 0
-            rows[r, 1 + l] = 1
-            lo[r] = 1 + l
-            width = 1 + next_var
-        else:  # phase gate
+        elif kind == PHASE:
             r = gate.register
             start = lo[r]
             active = rows[r, start:width]
@@ -267,6 +184,24 @@ def _extract_b_free(c: Circuit, a) -> tuple[QuadraticForm, np.ndarray]:
                 eta[support] += ((2 * c0 - 1) * inv2 % p) * cs % p
                 lo[r] = start + int(nz[0])
             zeta += inv2 * c0 * (c0 - 1)
+        elif roles[i] == NON_TERMINAL:
+            r = gate.register
+            start = lo[r]
+            active = rows[r, start:width]
+            nz = np.flatnonzero(active)
+            l = next_var
+            next_var += 1
+            if nz.size:
+                crosses.append((nz + (start - 1), active[nz], l))
+            eta[l] += const[r]
+            const[r] = 0
+            active[:] = 0
+            rows[r, 1 + l] = 1
+            lo[r] = 1 + l
+            width = 1 + next_var
+        # a terminal Fourier gate adds nothing: b enters in the fold
+        if record is not None:
+            record(gate, rows, const)
     rows[:, 0] = const
     eta %= p
     theta = _theta_entries(alpha, p, inv2, squares, crosses)
@@ -333,16 +268,17 @@ def _square_terms(alpha: int, p: int, inv2: int, squares) -> SymmetricEntries:
 
 
 def phase_polynomial_direct(c: Circuit, a, b) -> QuadraticForm:
-    """Streaming equivalent of label_circuit + oracle.extract_phase_polynomial.
-
-    Keeps one dense coefficient row per register (constant followed by the
-    alpha path-variable coefficients), folds eta and zeta in during the
-    pass, and keeps each gate's Theta term, coalesced into entries after
-    the pass; the outcome b is folded in once at the end.
-    Identical output to the reference pair; built for large circuits where
-    per-gate label objects would dominate.
+    """S(x) of the standard-form circuit c for input a and outcome b: one
+    `_extract_b_free` pass, with b folded in once at the end. Identical
+    output to `oracle.extract_phase_polynomial` of `oracle.label_circuit`;
+    built for large circuits where per-gate label objects would dominate.
     """
-    q0, rows = _extract_b_free(c, a)
+    return _fold_outcome(c, *_extract_b_free(c, a), b)
+
+
+def _fold_outcome(c: Circuit, q0: QuadraticForm, rows: np.ndarray,
+                  b) -> QuadraticForm:
+    """S(x) at outcome b from the b-free pass's form q0 and final rows."""
     (b,) = _check_tuples(c, b)
     p = q0.modulus
     eta, bv = q0.eta, np.array(b, dtype=np.int64)
@@ -371,19 +307,3 @@ def render_phase_polynomial(q: QuadraticForm) -> str:
     parts += [_term(c, variable_name(i))
               for i, c in enumerate(q.eta.tolist()) if c]
     return "S(x) = " + _render_sum(parts, q.zeta)
-
-
-def render_labels(lc: LabeledCircuit) -> list[str]:
-    """Per-gate in/out label lines for debug output."""
-    lines = ["inputs: " + ", ".join(
-        f"reg{r} = {form.render()}" for r, form in enumerate(lc.snapshots[0]))]
-    for i, gate in enumerate(lc.circuit.gates):
-        head = " ".join([gate.kind, *map(str, gate.registers)])
-        ins = ", ".join(f.render() for f in lc.gate_inputs(i))
-        outs = ", ".join(f.render() for f in lc.gate_outputs(i))
-        if len(gate.registers) == 2:
-            ins, outs = f"({ins})", f"({outs})"
-        lines.append(f"gate {i + 1} ({head}): in {ins} -> out {outs}")
-    lines.append("outputs: " + ", ".join(
-        f"reg{r} = {form.render()}" for r, form in enumerate(lc.snapshots[-1])))
-    return lines

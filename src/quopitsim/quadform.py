@@ -72,13 +72,14 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import operator
 import threading
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .fields import inverse_mod
+from .fields import OddPrime, inverse_mod
 
 # pivots per panel: the trailing block receives one flush per PANEL pivots
 PANEL = 96
@@ -145,8 +146,17 @@ def _blas_threads():
             put(caller)
 
 
+def _as_int64(A, name: str) -> np.ndarray:
+    """A new int64 array of A's entries; TypeError unless their dtype casts
+    to int64 safely: a cast would truncate floats and wrap uint64."""
+    A = np.asarray(A)
+    if not np.can_cast(A.dtype, np.int64):
+        raise TypeError(f"{name} must hold integers, got dtype {A.dtype}")
+    return A.astype(np.int64)
+
+
 def _as_symmetric(A, p: int) -> np.ndarray:
-    M = np.asarray(A, dtype=np.int64) % p
+    M = _as_int64(A, "theta") % p
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"need a square matrix, got shape {M.shape}")
     if not np.array_equal(M, M.T):
@@ -381,9 +391,11 @@ def diagonalize(theta, p: int, want_l: bool = False,
                 eta=None) -> DiagonalizationResult:
     """Full congruence diagonalization with panel-deferred updates.
 
+    p must be an integer (TypeError) that is an odd prime (ValueError).
     theta is a SymmetricEntries laid out as its class states, which is
-    checked (ValueError), or a dense symmetric matrix, which is turned into
-    its entries on entry. Pivot selection follows
+    checked (ValueError), or a dense symmetric matrix of integers (TypeError
+    for any other dtype, as for eta), which is turned into its entries on
+    entry. Pivot selection follows
     oracle.split_step exactly (first nonzero diagonal entry, else row-major
     first off-diagonal fold), so the output matches
     oracle.diagonalize_reference entry for entry. The trailing matrix only
@@ -439,6 +451,8 @@ def diagonalize(theta, p: int, want_l: bool = False,
     non-Python thread runs during a single-threaded flush may run on one
     thread.
     """
+    # operator.index refuses a float modulus rather than truncating it
+    p = int(OddPrime(operator.index(p)))
     if isinstance(theta, SymmetricEntries):
         S = theta
         _check_entries(S, p)
@@ -484,7 +498,7 @@ def diagonalize(theta, p: int, want_l: bool = False,
     m = 0 if eta is None else (eta_shape[1] if len(eta_shape) == 2 else 1)
     rhs = np.zeros((alpha, m + (alpha if want_l else 0)), dtype=dtype)
     if eta is not None:
-        rhs[:, :m] = (np.asarray(eta, dtype=np.int64) % p).reshape(alpha, m)
+        rhs[:, :m] = (_as_int64(eta, "eta") % p).reshape(alpha, m)
     if want_l:
         np.fill_diagonal(rhs[:, m:], 1)
 

@@ -13,9 +13,11 @@ import pytest
 
 import quopitsim.cli
 import quopitsim.evaluator
+import quopitsim.oracle
+import quopitsim.pathsum
 from conftest import random_circuit
-from quopitsim import fields
-from quopitsim.circuit import serialize_circuit
+from quopitsim import fields, label_circuit
+from quopitsim.circuit import normalize_to_standard_form, serialize_circuit
 from quopitsim.cli import main
 
 FIG_TEXT = """\
@@ -263,26 +265,82 @@ def test_explain_digest_random_circuit(capsys, circuit_file):
         "ddb6a400a94022bb53c3591ff4807b60dbfd9c0d3c64c8e0aa013a6649d733e2")
 
 
+def _count(monkeypatch, calls, name, modules):
+    """Record each call of the function `name` in calls, in every module
+    of modules that holds it."""
+    original = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+    for module in modules:
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+
+
+# every module that holds the functions quopitsim.cli calls
+CALLEES = (quopitsim.cli, quopitsim.evaluator, quopitsim.pathsum)
+
+
 @pytest.mark.parametrize("command", ["amp", "prob"])
 def test_explain_extracts_and_eliminates_once(capsys, circuit_file,
                                               monkeypatch, command):
-    # the dump is the derivation of the printed answer, not a second run:
-    # every module that holds the functions quopitsim.cli calls is counted
+    # the dump is the derivation of the printed answer, not a second run,
+    # and its wire labels come from that same pass, not from the reference
+    # labeler
     calls = []
-    for name in ("phase_polynomial_direct", "diagonalize"):
-        original = getattr(quopitsim.cli, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
-        for module in (quopitsim.cli, quopitsim.evaluator):
-            if getattr(module, name) is original:
-                monkeypatch.setattr(module, name, counted)
+    for name in ("_extract_b_free", "diagonalize"):
+        _count(monkeypatch, calls, name, CALLEES)
+    _count(monkeypatch, calls, "label_circuit", (quopitsim.oracle, quopitsim))
     path = circuit_file(FIG_TEXT)
     code, _, _ = run(capsys, [command, "-c", path, "-a", "1,1,1",
                               "-b", "1,1,1", "--explain"])
     assert code == 0
-    assert sorted(calls) == ["diagonalize", "phase_polynomial_direct"]
+    assert sorted(calls) == ["_extract_b_free", "diagonalize"]
+
+
+def test_check_extracts_once_per_trial(capsys, circuit_file, monkeypatch):
+    # the closed form and the path-sum oracle share each trial's S(x)
+    calls = []
+    _count(monkeypatch, calls, "_extract_b_free", CALLEES)
+    path = circuit_file(FIG_TEXT)
+    code, out, _ = run(capsys, ["check", "-c", path, "--trials", "4"])
+    assert code == 0
+    assert out.splitlines()[2].startswith("max |closed_form - path_sum| = ")
+    assert calls == ["_extract_b_free"] * 4
+
+
+def _reference_label_lines(lc) -> list[str]:
+    """The label lines of --explain, from the snapshots of
+    oracle.label_circuit."""
+    def regs(forms):
+        return ", ".join(f"reg{r} = {f.render()}" for r, f in enumerate(forms))
+    lines = ["inputs: " + regs(lc.snapshots[0])]
+    for i, gate in enumerate(lc.circuit.gates):
+        head = " ".join([gate.kind, *map(str, gate.registers)])
+        ins = ", ".join(f.render() for f in lc.gate_inputs(i))
+        outs = ", ".join(f.render() for f in lc.gate_outputs(i))
+        if len(gate.registers) == 2:
+            ins, outs = f"({ins})", f"({outs})"
+        lines.append(f"gate {i + 1} ({head}): in {ins} -> out {outs}")
+    lines.append("outputs: " + regs(lc.snapshots[-1]))
+    return lines
+
+
+def test_explain_labels_match_reference_labeler():
+    # the label lines rendered from the extractor's rows through its
+    # per-gate hook, against the reference labeler's affine forms
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        p = int(rng.choice([3, 5, 7, 101, 10007]))
+        n = int(rng.integers(1, 7))
+        cn = normalize_to_standard_form(
+            random_circuit(rng, p, n, int(rng.integers(0, 81))))
+        a, b = (tuple(int(v) for v in rng.integers(0, p, size=n))
+                for _ in range(2))
+        dump, _ = quopitsim.cli._explain(cn, a, b)
+        want = _reference_label_lines(label_circuit(cn, a, b))
+        assert dump.splitlines()[1:len(want) + 1] == want
 
 
 def test_output_is_deterministic(capsys, circuit_file):
@@ -386,7 +444,8 @@ def test_check_refuses_past_the_dense_cap_before_the_closed_form(
     # 3^9 > 10^4: the dense oracle refuses, so the closed form never runs
     def refuse(*args):
         raise AssertionError("closed form evaluated")
-    monkeypatch.setattr(quopitsim.cli, "amplitude", refuse)
+    for name in ("amplitude", "phase_polynomial_direct", "_evaluate"):
+        monkeypatch.setattr(quopitsim.cli, name, refuse)
     path = circuit_file("p 3\nn 9\nF 0\n")
     code, out, err = run(capsys, ["check", "-c", path, "--trials", "1"])
     assert (code, out) == (2, "")

@@ -1,6 +1,6 @@
 """Layering: the production modules never import the references in
-`oracle`, the CLI takes S(x) from the streaming extractor, and the public
-names are pinned."""
+`oracle`, the CLI takes S(x) and the wire labels from the streaming
+extractor, and the public names are pinned."""
 from __future__ import annotations
 
 import ast
@@ -31,16 +31,35 @@ def test_production_module_does_not_import_oracle(module):
         assert "oracle" not in parts, f"{module}.py line {node.lineno}"
 
 
-def test_cli_does_not_use_reference_extractor():
+def _names(module: str) -> set[str]:
+    """Every name the module binds, reads or imports."""
     names = set()
-    for node in ast.walk(_tree("cli")):
+    for node in ast.walk(_tree(module)):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name)
+        elif isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            names.add(node.name)
+    return names
+
+
+# the reference labeler and its label objects, which live in `oracle`
+REFERENCE_LABELER = {"AffineForm", "LabeledCircuit", "label_circuit",
+                     "render_labels"}
+
+
+def test_cli_does_not_use_reference_extractor():
+    names = _names("cli")
     assert "extract_phase_polynomial" not in names
+    assert not names & REFERENCE_LABELER
+
+
+@pytest.mark.parametrize("module", PRODUCTION)
+def test_production_module_has_no_reference_labeler(module):
+    assert not _names(module) & REFERENCE_LABELER
 
 
 def test_evaluator_never_densifies_theta():

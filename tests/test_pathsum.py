@@ -11,7 +11,8 @@ from quopitsim import (CircuitParseError, Gate, amplitude,
                        phase_polynomial_direct)
 from quopitsim.circuit import FOURIER, SUM
 from quopitsim.evaluator import assemble_amplitude
-from quopitsim.pathsum import (AffineForm, QuadraticForm, _extract_b_free,
+from quopitsim.oracle import AffineForm
+from quopitsim.pathsum import (QuadraticForm, _extract_b_free,
                                render_phase_polynomial)
 
 FIG_TEXT = "p 3\nn 3\nR 0\nF 1\nSUM 0 1\nF 2\nF 0\nSUM 1 2\nF 0\nF 1\nF 2\n"
@@ -257,3 +258,32 @@ def test_quadratic_form_from_entries_or_dense():
     assert QuadraticForm(5, changed, direct.eta, direct.zeta) != direct
     with pytest.raises(ValueError, match="symmetric"):
         QuadraticForm(5, np.triu(theta + 1), direct.eta, direct.zeta)
+
+
+def test_quadratic_form_keeps_a_copy_of_eta():
+    # the caller's eta stays writable, and a later write does not reach
+    # the form; a list is taken too
+    z = np.zeros((2, 2), dtype=np.int64)
+    e = np.array([1, 2])
+    q = QuadraticForm(5, z, e, 0)
+    e[0] = 3
+    assert q.eta.tolist() == [1, 2] and q.eta.dtype == np.int64
+    with pytest.raises(ValueError):
+        q.eta[0] = 3
+    assert QuadraticForm(5, z, [1, 2], 0) == q
+
+
+@pytest.mark.parametrize("theta,eta", [
+    (np.zeros((2, 2), dtype=np.int64), [0.9, 0.2]),
+    ([[1, 0], [0, 2.7]], [0, 0]),
+])
+def test_quadratic_form_refuses_non_integer_entries(theta, eta):
+    with pytest.raises(TypeError, match="must hold integers"):
+        QuadraticForm(5, theta, eta, 0)
+
+
+def test_quadratic_form_refuses_an_eta_of_another_size():
+    # the path-sum oracle enumerated len(eta) = 1 variables and broadcast
+    # them against the 2 x 2 Theta, returning a number instead of failing
+    with pytest.raises(ValueError, match="eta must have 2 entries"):
+        QuadraticForm(5, np.eye(2, dtype=np.int64), [1], 0)

@@ -715,6 +715,34 @@ def test_diagonalize_validation():
                     eta=np.zeros(2, dtype=np.int64))
 
 
+
+@pytest.mark.parametrize("p, error", [
+    (9, ValueError), (1, ValueError), (-3, ValueError), (9.5, TypeError),
+])
+def test_diagonalize_refuses_a_modulus_that_is_not_an_odd_prime(p, error):
+    # p = 9 once gave diagonal [1, 1] and rank 2, p = 1 rank 0, p = -3 a
+    # diagonal [-1, -2], and 9.5 was accepted
+    with pytest.raises(error):
+        diagonalize([[1, 1], [1, 2]], p)
+
+
+def test_diagonalize_refuses_a_non_integer_eta():
+    # eta = [0.9, 0.2] was truncated to mu = [0, 0]
+    with pytest.raises(TypeError, match="eta must hold integers"):
+        diagonalize(np.eye(2, dtype=np.int64), 5, eta=[0.9, 0.2])
+
+
+@pytest.mark.parametrize("engine", [diagonalize, diagonalize_reference,
+                                    split_step])
+@pytest.mark.parametrize("theta", [
+    [[1, 0], [0, 2.7]],
+    np.array([[2 ** 63 + 1]], dtype=np.uint64),
+], ids=["float", "uint64"])
+def test_non_integer_theta_is_refused(engine, theta):
+    # the entry 2.7 was read as 2, and 2^63 + 1 wrapped to a wrong residue
+    with pytest.raises(TypeError, match="theta must hold integers"):
+        engine(theta, 5)
+
 def test_refuses_modulus_beyond_float64():
     # the lazy bound p + (alpha + PANEL)(p - 1)^2 is ~397 * 2^53 here, and
     # float64 elimination of this matrix gives L^T A L != diag
