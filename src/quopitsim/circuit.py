@@ -6,6 +6,7 @@ comment, blank lines are ignored, registers are 0-indexed.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .fields import OddPrime
@@ -32,15 +33,19 @@ class Gate:
     """One gate: its kind, F, R or SUM, and its register indices.
 
     Gate owns the rules of a single gate, for the parser and for library
-    callers alike: a known kind, one register for F and R and two for SUM,
-    and distinct SUM registers. Whether an index names a register of the
-    circuit is `Circuit`'s rule.
+    callers alike: integer register indices (anything `operator.index`
+    accepts, stored as plain ints), a known kind, one register for F and R
+    and two for SUM, and distinct SUM registers. Whether an index names a
+    register of the circuit is `Circuit`'s rule.
     """
 
     kind: str
     registers: tuple[int, ...]
 
     def __post_init__(self):
+        # a float raises TypeError here; True is stored as 1
+        object.__setattr__(self, "registers",
+                           tuple(map(operator.index, self.registers)))
         if self.kind not in (FOURIER, PHASE, SUM):
             raise CircuitParseError(f"unknown directive {self.kind!r}")
         count = 2 if self.kind == SUM else 1
@@ -82,10 +87,11 @@ class Circuit:
     """A circuit: its odd prime modulus, its register count n and its gates.
 
     Circuit owns the rules of a whole circuit, however it is built: an odd
-    prime modulus (through `OddPrime`), at least one register, and every
-    register index in range (`_check_registers`). Each gate's own rules are
-    `Gate`'s. The gates are stored as a tuple. Whether the circuit is in
-    standard form is worked out from its gates, not stored.
+    prime modulus (through `OddPrime`), an integer register count of at
+    least one (stored as a plain int), and every register index in range
+    (`_check_registers`). Each gate's own rules are `Gate`'s. The gates are
+    stored as a tuple. Whether the circuit is in standard form is worked
+    out from its gates, not stored.
     """
 
     modulus: OddPrime
@@ -95,6 +101,7 @@ class Circuit:
     def __post_init__(self):
         if not isinstance(self.modulus, OddPrime):
             object.__setattr__(self, "modulus", OddPrime(self.modulus))
+        object.__setattr__(self, "n", operator.index(self.n))
         if self.n < 1:
             raise CircuitParseError(
                 f"register count must be >= 1, got {self.n}")

@@ -9,8 +9,9 @@ or a modulus too large for exact elimination), 2 brute-force cap exceeded.
 `amp --explain` and `prob --explain` run one extraction and one elimination
 (keeping L), print their derivation, and assemble the printed answer from
 that same run: the wire labels are rendered from the extraction's register
-rows as it sweeps the circuit. `check` likewise extracts once per trial and
-hands the same S(x) to the closed form and to the path-sum oracle.
+rows as it sweeps the circuit. `check` compares `amplitude` with two oracles
+that share none of its steps after normalizing: the dense simulation and
+the path sum over S(x) from the reference labeler.
 """
 from __future__ import annotations
 
@@ -26,11 +27,10 @@ from .circuit import (FOURIER, PHASE, CapExceeded, Circuit,
                       CircuitParseError, classify_fourier_gates,
                       normalize_to_standard_form, parse_circuit,
                       serialize_circuit)
-from .evaluator import (_evaluate, amplitude, amplitude_table,
-                        assemble_amplitude, balance_weight)
-from .oracle import PATH_ENUM_CAP, brute_force_path_sum, dense_amplitude
-from .pathsum import (_extract_b_free, _fold_outcome,
-                      phase_polynomial_direct, render_label,
+from .evaluator import (amplitude, amplitude_table, assemble_amplitude,
+                        balance_weight)
+from .oracle import PATH_ENUM_CAP, dense_amplitude, path_sum_amplitude
+from .pathsum import (_extract_b_free, _fold_outcome, render_label,
                       render_phase_polynomial, variable_name)
 from .quadform import diagonalize
 
@@ -228,11 +228,11 @@ def cmd_check(args) -> int:
         # the dense oracle first: past its cap it refuses at once, before
         # the closed form has run
         dense = dense_amplitude(cn, a, b)
-        q = phase_polynomial_direct(cn, a, b)
-        closed = _evaluate(cn, q).amplitude.to_complex()
+        closed = amplitude(cn, a, b).amplitude.to_complex()
         max_dense = max(max_dense, abs(closed - dense))
         if not skip_path:
-            max_path = max(max_path, abs(closed - brute_force_path_sum(q, n)))
+            path = path_sum_amplitude(cn, a, b)
+            max_path = max(max_path, abs(closed - path))
     print(f"p = {p}, n = {n}, alpha = {alpha}, trials = {args.trials}, "
           f"seed = {args.seed}")
     ok = _within_tolerance("dense", max_dense)

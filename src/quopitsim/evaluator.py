@@ -15,18 +15,20 @@ and (./p) is the Legendre symbol. Everything here is exact integer
 arithmetic; floats only appear when a caller asks for complex values.
 
 Only mu and zeta depend on the transition, and both are affine in (a, b).
-`_closed_form` therefore evaluates the formula for a whole matrix of mu
-columns at once. A single amplitude is one column, which
-`assemble_amplitude` evaluates from one extraction and one diagonalization:
-`amplitude` runs them (the elimination in its private step `_evaluate`,
-which `check` also calls on the phase polynomial it enumerates), and
-`--explain` runs them with L kept for printing.
-An outcome table runs one b-free extraction, whose final register rows are
-d eta / d b_i and d zeta / d b_i, hands `diagonalize` the right-hand sides
-[eta(b = 0) | d eta / d b_i], and expands them to every outcome b in
-fixed-size chunks, without forming L.
+`_closed_form` therefore takes them as a constant column plus one column
+per outcome register, works out the rank, the Legendre symbol and the
+weight once, and expands the outcomes itself, a chunk of about
+`quadform.FLUSH_ENTRIES` entries at a time, so a table's working set is
+bounded by that budget rather than by alpha times the number of outcomes.
+A single amplitude has no outcome columns: `assemble_amplitude` evaluates
+it from one extraction and one diagonalization, which `amplitude` runs,
+and which `--explain` runs with L kept for printing. An outcome table runs
+one b-free extraction, whose final register rows are d eta / d b_i and
+d zeta / d b_i, hands `diagonalize` the right-hand sides
+[eta(b = 0) | d eta / d b_i], and passes its mu to `_closed_form` as is,
+without forming L.
 
-Only `_evaluate` may eliminate Theta in another order, the one
+Only `amplitude` may eliminate Theta in another order, the one
 `quadform.envelope_order` offers when it lowers the block work: P^T Theta P
 with eta permuted alike is a congruence, under which the amplitude, the
 probability, the rank, alpha, the weight and whether Z is empty are
@@ -40,6 +42,7 @@ the diagonal and mu themselves.
 """
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,11 +53,9 @@ from .circuit import CapExceeded, Circuit, normalize_to_standard_form
 from .fields import ExactScalar, inverse_mod, legendre
 from .pathsum import (QuadraticForm, _extract_b_free,
                       phase_polynomial_direct)
-from .quadform import diagonalize, envelope_order
+from .quadform import FLUSH_ENTRIES, diagonalize, envelope_order
 
 TABLE_CAP = 100_000
-# outcomes assembled at once; bounds a table's alpha x chunk working set
-TABLE_CHUNK = 4096
 
 
 def phase_unit_exponent(p: int) -> int:
@@ -99,38 +100,63 @@ class AmplitudeReport:
 
 def _closed_form(cn: Circuit, lam: np.ndarray, mu: np.ndarray,
                  zeta: np.ndarray) -> list[AmplitudeReport]:
-    """The Gauss-sum product of the standard-form circuit cn for each column
-    of mu (alpha x m) with constant term zeta (m,), one report per column:
-    the rank r and the quarter turns q are shared by every column, |Z| and
-    the chi-phase are per column. Each product is reduced mod p before it is
+    """The Gauss-sum product of the standard-form circuit cn for each of the
+    p^m outcomes b of m registers, in lexicographic order: the diagonal lam
+    is shared, and mu (alpha x (m + 1)) and zeta ((m + 1,)) are a constant
+    column plus one column per register, so the outcome b has
+    mu[:, 0] + mu[:, 1:] b and zeta[0] + zeta[1:] b. A single transition
+    is m = 0.
+
+    The rank r, the quarter turns q and the weight are worked out once.
+    The outcomes are expanded a chunk at a time, about `FLUSH_ENTRIES`
+    entries of mu, and each distinct (|Z|, chi-phase) pair gets one report,
+    which a table repeats. Each product is reduced mod p before it is
     summed, so int64 stays exact for every p whose diagonalization is
     exact."""
     p = int(cn.modulus)
     nz = lam != 0
     r = int(np.count_nonzero(nz))
-    z_size = np.count_nonzero(mu[~nz], axis=0)
-    lam_inv = np.array([inverse_mod(int(v), p) for v in lam[nz]],
-                       dtype=np.int64)
-    mu_x = mu[nz]
-    # in place: for a table, mu and its copies are alpha x TABLE_CHUNK
-    terms = lam_inv[:, None] * mu_x
-    terms %= p
-    terms *= mu_x
-    terms %= p
-    phase = (zeta - inverse_mod(4, p) * (terms.sum(axis=0) % p)) % p
-    prod = 1
-    for v in lam[nz].tolist():
-        prod = (prod * v) % p
+    lam_x = lam[nz].tolist()
+    # (4 lambda)^(-1), so the sum over X is the phase's whole X term
+    lam_inv = np.array([inverse_mod(4 * v, p) for v in lam_x], np.int64)
+    prod = functools.reduce(lambda acc, v: acc * v % p, lam_x, 1)
     q = r * phase_unit_exponent(p) + (2 if r and legendre(prod, p) == -1 else 0)
-    alpha = len(lam)
+    alpha, m = mu.shape[0], mu.shape[1] - 1
     k = alpha - cn.n - r
     weight = float(p) ** (0.5 * k)
     prob = Fraction(p) ** k
     zero, zero_prob = ExactScalar.zero(cn.modulus), Fraction(0)
-    return [AmplitudeReport(zero, zero_prob, r, alpha, z, weight) if z
-            else AmplitudeReport(ExactScalar(cn.modulus, k, q, c), prob, r,
-                                 alpha, 0, weight)
-            for z, c in zip(z_size.tolist(), phase.tolist())]
+
+    @functools.cache
+    def report(z: int, c: int) -> AmplitudeReport:
+        if z:
+            return AmplitudeReport(zero, zero_prob, r, alpha, z, weight)
+        return AmplitudeReport(ExactScalar(cn.modulus, k, q, c), prob, r,
+                               alpha, 0, weight)
+
+    # the rows of X, zeta's and the rest, so that each chunk expands them
+    # with one product and X and the rest are slices
+    M = np.vstack([mu[nz], zeta, mu[~nz]])
+    # the place value of each register's digit in an outcome's index
+    place = p ** np.arange(m)[::-1, None]
+    # per outcome: mu's alpha rows, zeta's and the m digits
+    chunk = max(1, FLUSH_ENTRIES // (alpha + m + 1))
+    reports = []
+    for start in range(0, p ** m, chunk):
+        B = np.arange(start, min(start + chunk, p ** m)) // place % p
+        E = M[:, 1:] @ B
+        E += M[:, :1]
+        E %= p
+        z_size = np.count_nonzero(E[r + 1:], axis=0)
+        # (4 lambda)^(-1) mu^2 over X, in place, each product reduced mod p
+        X = E[:r]
+        X *= X
+        X %= p
+        X *= lam_inv[:, None]
+        X %= p
+        phase = (E[r] - X.sum(axis=0)) % p
+        reports += map(report, z_size.tolist(), phase.tolist())
+    return reports
 
 
 def assemble_amplitude(cn: Circuit, q: QuadraticForm, diagonal: np.ndarray,
@@ -143,14 +169,7 @@ def assemble_amplitude(cn: Circuit, q: QuadraticForm, diagonal: np.ndarray,
 
 def amplitude(c: Circuit, a, b) -> AmplitudeReport:
     """Exact transition amplitude <b|U|a>. The circuit is brought to standard
-    form first, so any circuit is accepted."""
-    cn = normalize_to_standard_form(c)
-    return _evaluate(cn, phase_polynomial_direct(cn, a, b))
-
-
-def _evaluate(cn: Circuit, q: QuadraticForm) -> AmplitudeReport:
-    """The report for the standard-form circuit cn from its phase
-    polynomial q.
+    form first, so any circuit is accepted.
 
     When `quadform.envelope_order` offers an order, Theta is eliminated in
     it, with eta permuted alike. Every field of the report is then the
@@ -161,6 +180,8 @@ def _evaluate(cn: Circuit, q: QuadraticForm) -> AmplitudeReport:
     and the two agree; only a reordered run that finds Z nonempty with
     alpha - r >= 2 is redone in the canonical order.
     """
+    cn = normalize_to_standard_form(c)
+    q = phase_polynomial_direct(cn, a, b)
     p = int(cn.modulus)
     S = q.theta_entries
     order = envelope_order(S)
@@ -188,25 +209,16 @@ def balance_weight(c: Circuit) -> AmplitudeReport:
 
 def amplitude_table(c: Circuit, a) -> list[AmplitudeReport]:
     """AmplitudeReport for every outcome b, in lexicographic order of the
-    outcome tuples. Refuses tables longer than TABLE_CAP rows."""
+    outcome tuples, from one b-free extraction and one elimination.
+    Refuses tables longer than TABLE_CAP rows."""
     cn = normalize_to_standard_form(c)
     p = int(cn.modulus)
-    n = cn.n
-    total = p ** n
-    if total > TABLE_CAP:
+    if p ** cn.n > TABLE_CAP:
         # a power, not its value: that can pass the digit limit Python
         # puts on int to str conversion
-        raise CapExceeded(f"table has {p}^{n} rows, cap is {TABLE_CAP}")
+        raise CapExceeded(f"table has {p}^{cn.n} rows, cap is {TABLE_CAP}")
     q0, rows = _extract_b_free(cn, a)
-    rhs = np.column_stack([q0.eta, rows[:, 1:].T])
-    res = diagonalize(q0.theta_entries, p, eta=rhs)
-    reports = []
-    for start in range(0, total, TABLE_CHUNK):
-        stop = min(start + TABLE_CHUNK, total)
-        B = np.array(np.unravel_index(np.arange(start, stop), (p,) * n))
-        mu = res.mu[:, 1:] @ B
-        mu += res.mu[:, :1]
-        mu %= p
-        zeta = (q0.zeta + rows[:, 0] @ B) % p
-        reports += _closed_form(cn, res.diagonal, mu, zeta)
-    return reports
+    res = diagonalize(q0.theta_entries, p,
+                      eta=np.column_stack([q0.eta, rows[:, 1:].T]))
+    return _closed_form(cn, res.diagonal, res.mu,
+                        np.append(q0.zeta, rows[:, 0]))

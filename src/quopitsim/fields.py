@@ -48,9 +48,11 @@ class OddPrime(int):
 
 
 def inverse_mod(x: int, p: int) -> int:
-    """Multiplicative inverse of x modulo p; numpy integers are accepted."""
-    p = int(p)
-    x = int(x) % p
+    """Multiplicative inverse of x modulo p; numpy integers are accepted,
+    floats are refused rather than truncated. p is not checked for
+    primality: the elimination calls this once per pivot."""
+    p = operator.index(p)
+    x = operator.index(x) % p
     if x == 0:
         raise ZeroDivisionError(f"0 has no inverse modulo {p}")
     return pow(x, -1, p)
@@ -86,9 +88,12 @@ class FieldElement:
 def legendre(x: int, p: int) -> int:
     """Legendre symbol: 0 at zero, +1 for nonzero squares, -1 otherwise.
 
-    Euler's criterion x^((p-1)/2) mod p via fast modular exponentiation.
+    Euler's criterion x^((p-1)/2) mod p via fast modular exponentiation,
+    which is the Legendre symbol only for an odd prime p, so p goes through
+    `OddPrime`. Floats are refused rather than truncated.
     """
-    residue = int(x) % p
+    p = OddPrime(operator.index(p))
+    residue = operator.index(x) % p
     if residue == 0:
         return 0
     e = pow(residue, (p - 1) // 2, p)

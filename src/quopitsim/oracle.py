@@ -2,7 +2,10 @@
 
 Two independent oracles: a dense state-vector simulator applying the literal
 gate matrices, and a direct enumeration of the path-sum formula
-p^(-(n+alpha)/2) * sum over x in F_p^alpha of chi(S(x)).
+p^(-(n+alpha)/2) * sum over x in F_p^alpha of chi(S(x)). `check` runs the
+second as `path_sum_amplitude`, which takes S(x) from the references below
+rather than from the streaming extractor, so an extraction fault shows as
+a deviation from both oracles.
 
 Beside them, the literal versions of two pipeline stages, which the tests
 hold the production engines to: `label_circuit` runs the labeling procedure
@@ -22,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import (FOURIER, NON_TERMINAL, PHASE, SUM, CapExceeded,
-                      Circuit, classify_fourier_gates)
+                      Circuit, classify_fourier_gates,
+                      normalize_to_standard_form)
 from .fields import inverse_mod
 from .pathsum import (QuadraticForm, _check_tuples, _render_sum, _term,
                       variable_name)
@@ -262,6 +266,15 @@ def extract_phase_polynomial(lc: LabeledCircuit) -> QuadraticForm:
             u = lc.gate_inputs(i)[0]
             zeta += _accumulate_product(theta, eta, u, u + (-1), inv2, inv2, p)
     return QuadraticForm(p, theta % p, eta % p, zeta % p)
+
+
+def path_sum_amplitude(c: Circuit, a, b) -> complex:
+    """<b|U|a> by enumerating the paths of the standard form of c, with S(x)
+    from the reference labeler and `extract_phase_polynomial`, so that no
+    step of the closed form's pipeline after normalizing is shared."""
+    cn = normalize_to_standard_form(c)
+    q = extract_phase_polynomial(label_circuit(cn, a, b))
+    return brute_force_path_sum(q, cn.n)
 
 
 def split_step(A, p: int) -> tuple[np.ndarray, int, np.ndarray]:

@@ -1,6 +1,7 @@
 import dataclasses
 import re
 
+import numpy as np
 import pytest
 
 from quopitsim import (Circuit, CircuitParseError, Gate, OddPrime, amplitude,
@@ -88,6 +89,25 @@ def test_gate_validation():
         Gate("BOGUS", (0,))
 
 
+def test_gate_stores_plain_int_registers():
+    # True and numpy integers are indices, stored as ints, so the gate
+    # serializes as the parser reads it back
+    g = Gate("R", (True,))
+    assert type(g.register) is int and g == Gate.phase(1)
+    c = make_circuit(3, 2, [g, Gate.sum(np.int64(1), np.int32(0))])
+    assert [type(r) for r in c.gates[1].registers] == [int, int]
+    assert serialize_circuit(c) == "p 3\nn 2\nR 1\nSUM 1 0\n"
+    assert parse_circuit(serialize_circuit(c)) == c
+
+
+@pytest.mark.parametrize("registers", [(1.0,), (0.5,)])
+def test_gate_refuses_float_registers(registers):
+    with pytest.raises(TypeError):
+        Gate("R", registers)
+    with pytest.raises(TypeError):
+        Gate.sum(0, *registers)
+
+
 # make_circuit and a direct Circuit(...) are one checked constructor
 BUILDERS = pytest.mark.parametrize("build", [make_circuit, Circuit],
                                    ids=["make_circuit", "Circuit"])
@@ -108,6 +128,18 @@ def test_make_circuit_validation(build):
         build(9, 1, [Gate.fourier(0)])
     c = build(5, 2, [Gate.fourier(1)])
     assert type(c.modulus) is OddPrime and c.gates == (Gate.fourier(1),)
+
+
+@BUILDERS
+@pytest.mark.parametrize("n", [2.0, 2.5])
+def test_register_count_must_be_an_integer(build, n):
+    with pytest.raises(TypeError):
+        build(3, n, [Gate.fourier(0)])
+
+
+@BUILDERS
+def test_register_count_is_stored_as_an_int(build):
+    assert type(build(3, np.int64(2), [Gate.fourier(0)]).n) is int
 
 
 @BUILDERS

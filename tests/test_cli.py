@@ -300,7 +300,8 @@ def test_explain_extracts_and_eliminates_once(capsys, circuit_file,
 
 
 def test_check_extracts_once_per_trial(capsys, circuit_file, monkeypatch):
-    # the closed form and the path-sum oracle share each trial's S(x)
+    # the closed form extracts once per trial, and the path-sum oracle
+    # takes its S(x) from the reference labeler, not from this extractor
     calls = []
     _count(monkeypatch, calls, "_extract_b_free", CALLEES)
     path = circuit_file(FIG_TEXT)
@@ -308,6 +309,26 @@ def test_check_extracts_once_per_trial(capsys, circuit_file, monkeypatch):
     assert code == 0
     assert out.splitlines()[2].startswith("max |closed_form - path_sum| = ")
     assert calls == ["_extract_b_free"] * 4
+
+
+def test_check_oracles_see_an_extraction_fault(capsys, circuit_file,
+                                               monkeypatch):
+    # neither oracle takes S(x) from the streaming extractor, so a fault in
+    # it shows as a deviation from both
+    extract = quopitsim.pathsum._extract_b_free
+
+    def shifted(*args, **kwargs):
+        q0, rows = extract(*args, **kwargs)
+        q0.zeta = (q0.zeta + 1) % q0.modulus
+        return q0, rows
+    monkeypatch.setattr(quopitsim.pathsum, "_extract_b_free", shifted)
+    path = circuit_file(FIG_TEXT)
+    code, out, _ = run(capsys, ["check", "-c", path, "--trials", "4"])
+    assert code == 1
+    dense, path_sum = out.splitlines()[1:]
+    assert dense.startswith("max |closed_form - dense| = ")
+    assert path_sum.startswith("max |closed_form - path_sum| = ")
+    assert dense.endswith(">= 1e-9") and path_sum.endswith(">= 1e-9")
 
 
 def _reference_label_lines(lc) -> list[str]:
@@ -441,10 +462,11 @@ def test_table_cap_names_a_power_past_the_int_digit_limit(capsys,
 
 def test_check_refuses_past_the_dense_cap_before_the_closed_form(
         capsys, circuit_file, monkeypatch):
-    # 3^9 > 10^4: the dense oracle refuses, so the closed form never runs
+    # 3^9 > 10^4: the dense oracle refuses, so neither the closed form nor
+    # the path-sum oracle runs
     def refuse(*args):
         raise AssertionError("closed form evaluated")
-    for name in ("amplitude", "phase_polynomial_direct", "_evaluate"):
+    for name in ("amplitude", "path_sum_amplitude"):
         monkeypatch.setattr(quopitsim.cli, name, refuse)
     path = circuit_file("p 3\nn 9\nF 0\n")
     code, out, err = run(capsys, ["check", "-c", path, "--trials", "1"])

@@ -20,7 +20,7 @@ from quopitsim import (CapExceeded, Gate, SymmetricEntries, amplitude,
                        weil_sum)
 from quopitsim import evaluator, quadform
 from quopitsim.evaluator import phase_unit_exponent
-from quopitsim.fields import ExactScalar
+from quopitsim.fields import ExactScalar, legendre
 
 
 def direct_weil(lam: int, mu: int, p: int) -> complex:
@@ -242,6 +242,62 @@ def test_table_memory_is_bounded():
     assert len(table) == 3 ** 10
     assert table[0].alpha == 222
     assert peak < 64 * 2 ** 20, peak / 2 ** 20
+
+
+def test_table_chunks_follow_alpha():
+    # alpha = 1002 and 6561 outcomes: in chunks of a fixed 4096 outcomes,
+    # one copy of mu alone would be 31 MB, so only chunks of about
+    # FLUSH_ENTRIES entries stay under the bound
+    c = random_circuit(np.random.default_rng(1), 3, 8, 3000)
+    tracemalloc.start()
+    try:
+        table = amplitude_table(c, (0,) * 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 3 ** 8
+    assert table[0].alpha == 1002
+    assert peak < 32 * 2 ** 20, peak / 2 ** 20
+
+
+@pytest.mark.parametrize("entries", [1, 100, 500])
+def test_table_does_not_depend_on_the_chunks(monkeypatch, entries):
+    # a chunk is FLUSH_ENTRIES // (alpha + m + 1) outcomes, here with
+    # alpha = 19 and m = 5: by default the 243 outcomes are one chunk; with
+    # a smaller budget they are split into chunks of 1, 4 and 20 outcomes
+    c = random_circuit(np.random.default_rng(4), 3, 5, 30)
+    a = (2, 0, 1, 1, 0)
+    whole = amplitude_table(c, a)
+    assert whole[0].alpha == 19
+    assert evaluator.FLUSH_ENTRIES // (19 + 5 + 1) >= 3 ** 5
+    assert {rep.z_size > 0 for rep in whole} == {False, True}
+    monkeypatch.setattr(evaluator, "FLUSH_ENTRIES", entries)
+    assert amplitude_table(c, a) == whole
+
+
+def test_table_rows_share_their_reports():
+    # one report per distinct (|Z|, phase): rows with equal nonzero
+    # amplitudes are the same object
+    c = random_circuit(np.random.default_rng(4), 3, 5, 30)
+    nonzero = [rep for rep in amplitude_table(c, (2, 0, 1, 1, 0))
+               if not rep.z_size]
+    assert len({id(rep) for rep in nonzero}) == len(set(nonzero))
+    assert len(set(nonzero)) < len(nonzero)
+
+
+def test_table_takes_one_legendre_symbol(monkeypatch):
+    # the rank, the quarter turns and the weight are worked out once per
+    # table, not once per chunk of outcomes
+    calls = []
+
+    def counted(x, p):
+        calls.append(x)
+        return legendre(x, p)
+    monkeypatch.setattr(evaluator, "legendre", counted)
+    c = random_circuit(np.random.default_rng(1), 3, 8, 300)
+    table = amplitude_table(c, (0,) * 8)
+    assert len(table) == 3 ** 8 and table[0].rank > 0
+    assert len(calls) == 1
 
 
 def test_amplitude_memory_is_bounded():

@@ -124,6 +124,29 @@ def test_legendre_counts():
         assert vals.count(-1) == (p - 1) // 2
 
 
+@pytest.mark.parametrize("call", [lambda: inverse_mod(2.5, 7),
+                                  lambda: inverse_mod(2, 7.0),
+                                  lambda: legendre(2.5, 7),
+                                  lambda: legendre(2, 7.0)])
+def test_inverse_and_legendre_refuse_floats(call):
+    # a float is refused, not truncated to the integer below it
+    with pytest.raises(TypeError):
+        call()
+
+
+def test_inverse_and_legendre_take_numpy_integers():
+    assert inverse_mod(np.int64(3), np.int64(7)) == 5
+    assert legendre(np.int64(2), np.int32(7)) == 1
+
+
+@pytest.mark.parametrize("p", [1, 9, 15])
+def test_legendre_needs_an_odd_prime(p):
+    # Euler's criterion is the Legendre symbol only modulo an odd prime:
+    # modulo 9 it gives -1 for 2, whose Jacobi symbol is 1
+    with pytest.raises(ValueError, match="modulus must be"):
+        legendre(2, p)
+
+
 def test_exact_scalar_mul_examples():
     s = ExactScalar(3, sqrtp_exponent=-1)
     ss = s * s
