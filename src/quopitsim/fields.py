@@ -41,10 +41,12 @@ def _odd_prime(v: int) -> int:
 
 class OddPrime(int):
     """An odd prime modulus below 2^63, validated at construction: by trial
-    division below 2^32, and by deterministic Miller-Rabin above."""
+    division below 2^32, and by deterministic Miller-Rabin above. The value
+    must be an integer (anything `operator.index` accepts, TypeError
+    otherwise): a float or a string is refused rather than converted."""
 
     def __new__(cls, value):
-        return super().__new__(cls, _odd_prime(int(value)))
+        return super().__new__(cls, _odd_prime(operator.index(value)))
 
 
 def inverse_mod(x: int, p: int) -> int:
@@ -92,7 +94,7 @@ def legendre(x: int, p: int) -> int:
     which is the Legendre symbol only for an odd prime p, so p goes through
     `OddPrime`. Floats are refused rather than truncated.
     """
-    p = OddPrime(operator.index(p))
+    p = OddPrime(p)
     residue = operator.index(x) % p
     if residue == 0:
         return 0

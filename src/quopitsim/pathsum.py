@@ -34,7 +34,7 @@ import numpy as np
 
 from .circuit import (NON_TERMINAL, PHASE, SUM, Circuit,
                       classify_fourier_gates)
-from .fields import inverse_mod
+from .fields import OddPrime, inverse_mod
 from .quadform import SymmetricEntries, _as_int64, _as_symmetric, _pick_dtype
 
 
@@ -71,18 +71,20 @@ class QuadraticForm:
     evaluation needs O(nnz(Theta) + w^2) memory for a window of w
     coordinates. The constructor also takes a dense symmetric theta. The
     read-only dense `theta` is built from the entries each time it is read.
-    eta is kept as a read-only int64 copy, one entry per coordinate of
-    theta (ValueError otherwise); a theta or eta that does not hold
-    integers raises TypeError.
+    The modulus is kept as an `OddPrime`, so one that is not an odd prime
+    raises ValueError and one that is not an integer TypeError. eta is kept
+    as a read-only int64 copy, one entry per coordinate of theta
+    (ValueError otherwise); a theta or eta that does not hold integers
+    raises TypeError.
     """
 
     __slots__ = ("modulus", "theta_entries", "eta", "zeta")
 
     def __init__(self, modulus: int, theta, eta: np.ndarray, zeta: int):
-        self.modulus = modulus
+        self.modulus = OddPrime(modulus)
         self.theta_entries = (theta if isinstance(theta, SymmetricEntries)
                               else SymmetricEntries.from_dense(
-                                  _as_symmetric(theta, int(modulus))))
+                                  _as_symmetric(theta, self.modulus)))
         self.eta = _as_int64(eta, "eta")
         if self.eta.shape != (self.theta_entries.size,):
             raise ValueError(f"eta must have {self.theta_entries.size} "

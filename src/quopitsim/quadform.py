@@ -28,7 +28,10 @@ envelope (George and Liu 1981, ch. 4) before any numerical work: E, the
 widest window hi_t - t of the static row ends plus two panels, caps its
 growth by half again, and it grows past E, to a panel beyond the live
 block, only when deferred coordinates widen that block to within a panel
-of E. It is reallocated in place, so no grow holds two blocks. Memory is
+of E. When the block runs past the buffer's end it moves once: the buffer
+is reallocated in place (the first one from an empty buffer), and each
+live row is copied once to the front at the new stride, so the block
+slides and grows in one pass and no move holds two blocks. Memory is
 O(nnz(A) + c^2 + PANEL * c) for a buffer of c <= max(E, w + PANEL)
 coordinates, w the widest live block.
 
@@ -177,13 +180,14 @@ class SymmetricEntries:
     """A symmetric size x size matrix over F_p held as its nonzero
     upper-triangle entries (rows[k] <= cols[k], vals[k] in [1, p)), sorted
     by column and then by row, each position once. The constructor trusts
-    its arrays; `diagonalize` checks this layout. `np.asarray` gives the
-    dense int64 matrix."""
+    its arrays; `diagonalize` checks this layout. size must be an integer
+    (anything `operator.index` accepts, TypeError otherwise). `np.asarray`
+    gives the dense int64 matrix."""
 
     __slots__ = ("size", "rows", "cols", "vals")
 
     def __init__(self, size: int, rows, cols, vals):
-        self.size = int(size)
+        self.size = operator.index(size)
         self.rows, self.cols, self.vals = rows, cols, vals
         for arr in (rows, cols, vals):
             arr.setflags(write=False)
@@ -435,10 +439,14 @@ def diagonalize(theta, p: int, want_l: bool = False,
     reaches them, up to PANEL coordinates ahead while the buffer has room.
     The buffer grows in place, by half again up to the static envelope E,
     the widest hi - t of theta's row ends plus two panels, and past it only
-    to a panel beyond a live block that deferred coordinates widen. Memory
-    is O(nnz(theta) + c^2 + PANEL * c) for a buffer of c <= max(E, w +
-    PANEL) coordinates, w the widest live block; matrices from circuits are
-    close to banded, so the block is usually much narrower than the matrix.
+    to a panel beyond a live block that deferred coordinates widen. A load
+    past the buffer's end moves the block once: it reallocates the buffer,
+    the first one from an empty one, and copies each live row once to the
+    front at the buffer's new stride, so a slide and a grow share one pass.
+    Memory is O(nnz(theta) + c^2 + PANEL * c) for a buffer of c <= max(E,
+    w + PANEL) coordinates, w the widest live block; matrices from circuits
+    are close to banded, so the block is usually much narrower than the
+    matrix.
     theta is eliminated in the order given; `envelope_order` offers one of
     less block work.
 
@@ -451,8 +459,7 @@ def diagonalize(theta, p: int, want_l: bool = False,
     non-Python thread runs during a single-threaded flush may run on one
     thread.
     """
-    # operator.index refuses a float modulus rather than truncating it
-    p = int(OddPrime(operator.index(p)))
+    p = int(OddPrime(p))
     if isinstance(theta, SymmetricEntries):
         S = theta
         _check_entries(S, p)
@@ -490,7 +497,7 @@ def diagonalize(theta, p: int, want_l: bool = False,
     # moves back, a row holds values only left of the hi of its last write,
     # so a reused row's old values lie left of t or under its new write; a
     # compaction moves the pending rows' columns with their coordinates, and
-    # a slide or grow moves every row's with the block
+    # a move of the block moves every row's with it
     Vp = np.zeros((PANEL, 0), dtype=dtype)
     Wp = np.zeros((PANEL, 0), dtype=dtype)
     base = top = 0
@@ -546,45 +553,42 @@ def diagonalize(theta, p: int, want_l: bool = False,
         # there, since no update reaches past hi <= top, so coordinate c
         # loads as its original column. Finished positions have no entry
         # that far out.
-        nonlocal A, Vp, Wp, base, top
+        nonlocal Vp, Wp, base, top
         if end <= top:
             return
         if end - base > A.shape[0]:
-            # the capacity and the moves below see only live positions
+            # the capacity and the move below see only live positions
             compact()
-            live, size, cap = top - t, end - t, A.shape[0]
-            # slide the block and the panel columns to the front, in blocks
-            # of rows that numpy copies first where they overlap their
-            # source. The rest of the panel rows is cleared: it lies right
-            # of every hi so far, where a reused row must read zero
-            shift = t - base
-            if shift:
-                for r0 in range(0, live, PANEL):
-                    r1 = min(r0 + PANEL, live)
-                    A[r0:r1, :live] = A[r0 + shift:r1 + shift,
-                                        shift:shift + live]
-                for P in (Vp, Wp):
-                    P[:, :live] = P[:, shift:shift + live]
-                    P[:, live:] = 0
-            base = t
-            # a slide frees at least a quarter of the buffer, or the margin
+            live, shift, cap = top - t, t - base, A.shape[0]
+            # a move frees at least a quarter of the buffer, or the margin
             # at the envelope: either way O(w^2) copying buys O(w) pivots
-            grown = _capacity(size, cap, envelope, alpha - t)
-            if grown > cap:
-                if cap:
-                    # numpy reallocates the buffer, so no second block is
-                    # ever held (no view of it is alive here); its rows,
-                    # still cap apart, are re-laid from the last back, so
-                    # none lands on a row not yet moved
-                    A.resize((grown, grown), refcheck=False)
-                    laid = A.reshape(-1)[:live * cap].reshape(live, cap)
-                    for r1 in range(live, 0, -PANEL):
-                        r0 = max(0, r1 - PANEL)
-                        A[r0:r1, :live] = laid[r0:r1, :live]
-                else:
-                    A = np.zeros((grown, grown), dtype=dtype)
-                Vp, Wp = (np.pad(P, ((0, 0), (0, grown - cap)))
-                          for P in (Vp, Wp))
+            grown = _capacity(end - t, cap, envelope, alpha - t)
+            # numpy reallocates the buffer in place, the first one from
+            # (0, 0), so no second block is ever held (no view of it is
+            # alive here). Live row r still sits cap apart, at offset shift,
+            # and goes to row r at stride grown: it moves by r * (grown -
+            # cap) - shift * (cap + 1), which rises with r. The rows that
+            # move to higher addresses go first, last to first, then the
+            # rest, first to last, so none lands on a row not yet moved;
+            # numpy copies a block of PANEL rows first where it overlaps
+            # its own source
+            A.resize((grown, grown), refcheck=False)
+            src = A.reshape(-1)[shift * cap:(shift + live) * cap].reshape(
+                live, cap)[:, shift:shift + live]
+            split = int(np.count_nonzero(
+                np.arange(live) * (grown - cap) <= shift * (cap + 1)))
+            for r1 in range(live, split, -PANEL):
+                r0 = max(split, r1 - PANEL)
+                A[r0:r1, :live] = src[r0:r1]
+            for r0 in range(0, split, PANEL):
+                r1 = min(r0 + PANEL, split)
+                A[r0:r1, :live] = src[r0:r1]
+            # the panel columns move with the block; the rest is zero: it
+            # lies right of every hi so far, where a reused row must read
+            # zero
+            Vp, Wp = (np.pad(P[:, shift:shift + live],
+                             ((0, 0), (0, grown - live))) for P in (Vp, Wp))
+            base = t
         end = min(alpha, end + PANEL, base + A.shape[0])
         # only the new columns' upper triangle: every loaded entry sits
         # above the diagonal, since pos[r] < top <= c or pos[r] = r <= c

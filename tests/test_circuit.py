@@ -131,6 +131,15 @@ def test_make_circuit_validation(build):
 
 
 @BUILDERS
+@pytest.mark.parametrize("p", [7.9, 7.0, "7"])
+def test_modulus_must_be_an_integer(build, p):
+    # a float modulus was truncated, so 7.9 built and evaluated a p = 7
+    # circuit
+    with pytest.raises(TypeError):
+        build(p, 1, [Gate.fourier(0)])
+
+
+@BUILDERS
 @pytest.mark.parametrize("n", [2.0, 2.5])
 def test_register_count_must_be_an_integer(build, n):
     with pytest.raises(TypeError):

@@ -22,6 +22,20 @@ def test_odd_prime_rejects(bad):
         OddPrime(bad)
 
 
+@pytest.mark.parametrize("value", [7.0, 7.9, "7"])
+def test_odd_prime_refuses_what_is_not_an_integer(value):
+    # int(value) truncated 7.9 to 7 and read "7" as 7; every modulus goes
+    # through OddPrime, so a scalar or residue took the truncated modulus
+    with pytest.raises(TypeError):
+        OddPrime(value)
+    with pytest.raises(TypeError):
+        ExactScalar(value)
+    with pytest.raises(TypeError):
+        FieldElement(3, value)
+    assert OddPrime(np.int64(7)) == 7
+    assert type(OddPrime(np.int32(7))) is OddPrime
+
+
 def test_odd_prime_validates_once():
     # weil_sum and ExactScalar build an OddPrime from a plain int on every
     # call, so a modulus is checked by trial division only the first time

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_circuit
-from quopitsim import (CircuitParseError, Gate, amplitude,
+from quopitsim import (CircuitParseError, Gate, OddPrime, amplitude,
                        brute_force_path_sum, dense_amplitude, diagonalize,
                        extract_phase_polynomial, label_circuit, make_circuit,
                        normalize_to_standard_form, parse_circuit,
@@ -287,3 +287,15 @@ def test_quadratic_form_refuses_an_eta_of_another_size():
     # them against the 2 x 2 Theta, returning a number instead of failing
     with pytest.raises(ValueError, match="eta must have 2 entries"):
         QuadraticForm(5, np.eye(2, dtype=np.int64), [1], 0)
+
+
+def test_quadratic_form_checks_its_modulus():
+    # any modulus was kept as given, so a form mod 9 was accepted and
+    # brute_force_path_sum summed it, and 7.5 stayed 7.5
+    z, e = np.zeros((1, 1), dtype=np.int64), np.array([1])
+    with pytest.raises(ValueError, match="modulus must be prime"):
+        QuadraticForm(9, z, e, 0)
+    with pytest.raises(TypeError):
+        QuadraticForm(7.5, z, e, 0)
+    q = QuadraticForm(np.int64(7), z, e, 0)
+    assert q.modulus == 7 and type(q.modulus) is OddPrime

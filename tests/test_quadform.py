@@ -316,6 +316,21 @@ def test_block_grows_and_slides_while_deferred(monkeypatch):
         _assert_panels_match(A, p, monkeypatch)
 
 
+def test_one_move_slides_and_grows_the_block(monkeypatch):
+    # a band whose row 10 reaches 40 and whose row 14 reaches 64: row 10
+    # grows the block to about 40 coordinates, and four pivots later row 14
+    # needs it wider still, so a single load slides the block (t > base)
+    # and grows it. Its first live rows move to lower addresses and its
+    # last ones to higher, each block of rows in an order that lands none
+    # on a row not yet moved
+    rng = np.random.default_rng(127)
+    for p in (5, 10007):
+        A = _band_with_deferred(rng, p, 100, {}, band=3)
+        for i, j in ((10, 40), (14, 64)):
+            A[i, j] = A[j, i] = rng.integers(1, p)
+        _assert_panels_match(A, p, monkeypatch)
+
+
 def test_block_buffer_holds_only_live_coordinates(monkeypatch):
     # a diagonal form whose coordinate 0 waits for the last one: the live
     # block is that coordinate and the pivot, so the buffer stays small.
@@ -326,21 +341,27 @@ def test_block_buffer_holds_only_live_coordinates(monkeypatch):
     A = np.diag(v)
     A[0, 0] = 0
     A[0, -1] = A[-1, 0] = 1
-    sides = []
-    zeros = np.zeros
+    caps, sides = [], []
+    capacity, zeros = quadform._capacity, np.zeros
 
-    def record(shape, *args, **kwargs):
-        # the block buffer is the only square array
+    def record_capacity(*args):
+        # the block buffer takes every capacity chosen here
+        caps.append(capacity(*args))
+        return caps[-1]
+
+    def record_zeros(shape, *args, **kwargs):
+        # nor is a wider square array allocated on the side
         if (isinstance(shape, tuple) and len(shape) == 2
                 and shape[0] == shape[1]):
             sides.append(shape[0])
         return zeros(shape, *args, **kwargs)
-    monkeypatch.setattr(quadform.np, "zeros", record)
+    monkeypatch.setattr(quadform, "_capacity", record_capacity)
+    monkeypatch.setattr(quadform.np, "zeros", record_zeros)
     res = diagonalize(A, 5)
     monkeypatch.undo()
     # 1 .. alpha - 1 in order, then 0, revived to -1/v[-1]
     assert res.diagonal.tolist() == [*v[1:], (-pow(int(v[-1]), -1, 5)) % 5]
-    assert 0 < max(sides) <= 8
+    assert 0 < max(caps) <= 8 and max(sides, default=0) <= 8
 
 
 def test_block_buffer_grows_in_place_only_as_the_live_block_needs(
@@ -835,3 +856,12 @@ def test_diagonalize_checks_hand_built_entries():
     for size, rows, cols, vals in malformed:
         with pytest.raises(ValueError, match="upper-triangle positions"):
             diagonalize(SymmetricEntries(size, rows, cols, vals), p)
+
+
+@pytest.mark.parametrize("size", [2.9, 2.0, "2"])
+def test_symmetric_entries_size_must_be_an_integer(size):
+    # int(size) truncated 2.9 to 2, and diagonalize eliminated the form
+    one = np.array([0])
+    with pytest.raises(TypeError):
+        SymmetricEntries(size, one, one, np.array([1]))
+    assert SymmetricEntries(np.int64(2), one, one, np.array([1])).size == 2
