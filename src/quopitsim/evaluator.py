@@ -28,9 +28,10 @@ d zeta / d b_i, hands `diagonalize` the right-hand sides
 [eta(b = 0) | d eta / d b_i], and passes its mu to `_closed_form` as is,
 without forming L.
 
-Only `amplitude` may eliminate Theta in another order, the one
-`quadform.envelope_order` offers when it lowers the block work: P^T Theta P
-with eta permuted alike is a congruence, under which the amplitude, the
+Only `amplitude` eliminates Theta in another order: the coordinates
+sorted by the end of their row of Theta (`quadform._row_ends`), in which
+the front `quadform.diagonalize` holds dense is narrow. P^T Theta P with
+eta permuted alike is a congruence, under which the amplitude, the
 probability, the rank, alpha, the weight and whether Z is empty are
 invariant. |Z| is not in general, but Z lies among the alpha - r
 coordinates with lambda_i = 0, so where alpha - r <= 1 it is 0 or 1 in
@@ -53,7 +54,7 @@ from .circuit import CapExceeded, Circuit, normalize_to_standard_form
 from .fields import ExactScalar, inverse_mod, legendre
 from .pathsum import (QuadraticForm, _extract_b_free,
                       phase_polynomial_direct)
-from .quadform import FLUSH_ENTRIES, diagonalize, envelope_order
+from .quadform import FLUSH_ENTRIES, _row_ends, diagonalize
 
 TABLE_CAP = 100_000
 
@@ -137,6 +138,10 @@ def _closed_form(cn: Circuit, lam: np.ndarray, mu: np.ndarray,
     # the rows of X, zeta's and the rest, so that each chunk expands them
     # with one product and X and the rest are slices
     M = np.vstack([mu[nz], zeta, mu[~nz]])
+    # the outcome columns in float64, so the product runs through BLAS. It
+    # is exact: every entry and digit lies in [0, p), and m (p - 1)^2 <
+    # 2^53 wherever p^m <= TABLE_CAP
+    outcome = M[:, 1:].astype(np.float64)
     # the place value of each register's digit in an outcome's index
     place = p ** np.arange(m)[::-1, None]
     # per outcome: mu's alpha rows, zeta's and the m digits
@@ -144,7 +149,7 @@ def _closed_form(cn: Circuit, lam: np.ndarray, mu: np.ndarray,
     reports = []
     for start in range(0, p ** m, chunk):
         B = np.arange(start, min(start + chunk, p ** m)) // place % p
-        E = M[:, 1:] @ B
+        E = (outcome @ B.astype(np.float64)).astype(np.int64)
         E += M[:, :1]
         E %= p
         z_size = np.count_nonzero(E[r + 1:], axis=0)
@@ -171,8 +176,8 @@ def amplitude(c: Circuit, a, b) -> AmplitudeReport:
     """Exact transition amplitude <b|U|a>. The circuit is brought to standard
     form first, so any circuit is accepted.
 
-    When `quadform.envelope_order` offers an order, Theta is eliminated in
-    it, with eta permuted alike. Every field of the report is then the
+    Theta is eliminated with its coordinates sorted by the end of their
+    row, with eta permuted alike. Every field of the report is then the
     canonical one except perhaps |Z|, which can depend on the order. Z
     lies among the alpha - r coordinates whose lambda is zero, and whether
     it is empty does not depend on the order, since the amplitude is zero
@@ -184,12 +189,11 @@ def amplitude(c: Circuit, a, b) -> AmplitudeReport:
     q = phase_polynomial_direct(cn, a, b)
     p = int(cn.modulus)
     S = q.theta_entries
-    order = envelope_order(S)
-    if order is not None:
-        res = diagonalize(S.permuted(order), p, eta=q.eta[order])
-        report = assemble_amplitude(cn, q, res.diagonal, res.mu)
-        if not report.z_size or report.alpha - report.rank < 2:
-            return report
+    order = np.argsort(_row_ends(S.size, S.rows, S.cols), kind="stable")
+    res = diagonalize(S.permuted(order), p, eta=q.eta[order])
+    report = assemble_amplitude(cn, q, res.diagonal, res.mu)
+    if not report.z_size or report.alpha - report.rank < 2:
+        return report
     res = diagonalize(S, p, eta=q.eta)
     return assemble_amplitude(cn, q, res.diagonal, res.mu)
 

@@ -12,9 +12,10 @@ independent of the input/outcome tuples (a, b). The outcome b_r only
 multiplies register r's final label, so eta and zeta are affine in b with
 the final register rows of one b-free streaming pass as coefficients.
 Theta is held as its nonzero upper-triangle entries (`SymmetricEntries`)
-from extraction through elimination, which then works in a sliding dense
-window, so memory is O(nnz(Theta) + w^2) rather than O(alpha^2); a dense
-Theta is built only when `QuadraticForm.theta` is read.
+from extraction through elimination, which then holds only its front
+dense, so memory is O(nnz(Theta) + f^2) for a front of f coordinates
+rather than O(alpha^2); a dense Theta is built only when
+`QuadraticForm.theta` is read.
 
 `_extract_b_free` is that pass: it holds each register's label as a
 coefficient row and a constant, and can hand them to a per-gate callback,
@@ -67,8 +68,8 @@ class QuadraticForm:
     """S(x) = x^T theta x + eta^T x + zeta over F_p (theta symmetric).
 
     Theta is held as its nonzero upper-triangle entries, `theta_entries`,
-    which `quadform.diagonalize` eliminates in a sliding dense window, so an
-    evaluation needs O(nnz(Theta) + w^2) memory for a window of w
+    which `quadform.diagonalize` eliminates holding only its front dense,
+    so an evaluation needs O(nnz(Theta) + f^2) memory for a front of f
     coordinates. The constructor also takes a dense symmetric theta. The
     read-only dense `theta` is built from the entries each time it is read.
     The modulus is kept as an `OddPrime`, so one that is not an odd prime

@@ -2,6 +2,8 @@
 engine, and the Gaussian rank cross-check."""
 from __future__ import annotations
 
+import contextlib
+import math
 import threading
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from quopitsim import quadform
 from quopitsim.oracle import diagonalize_reference, gf_rank, split_step
 from quopitsim.quadform import (DiagonalizationResult, SymmetricEntries,
-                                diagonalize, envelope_order)
+                                diagonalize)
 
 PRIMES = [3, 5, 7, 11, 13]
 
@@ -213,8 +215,8 @@ def _sliding_window_inputs():
         A[:100, :100] = head
         A[109:, 109:] = tail
         yield p2, A
-    # a zero stretch longer than the pivot search's first stage of 64
-    # diagonal entries, so the second stage finds the pivot
+    # a zero stretch of 100 coordinates, so the next pivot lies far
+    # outside the front
     for p in (5, 10007):
         yield p, _banded_with_zero_stretches(rng, p, 160, starts=(30,),
                                              length=100)
@@ -302,10 +304,10 @@ def test_revived_coordinate_pivots_left_of_an_earlier_pivot(p, monkeypatch):
 
 
 def test_block_grows_and_slides_while_deferred(monkeypatch):
-    # a revived coordinate whose row reaches far past the block, and long
-    # zero stretches whose next pivot lies far past it, so the block must
-    # grow or slide in the middle of a panel; flushes in row blocks of a
-    # few rows
+    # a revived coordinate whose row reaches far past the front, and long
+    # zero stretches whose next pivot lies outside it, so the front takes in
+    # far coordinates and its block grows in the middle of a panel; flushes
+    # in row blocks of a few rows
     rng = np.random.default_rng(107)
     monkeypatch.setattr(quadform, "FLUSH_ENTRIES", 50)
     for p in (5, 10007):
@@ -314,95 +316,82 @@ def test_block_grows_and_slides_while_deferred(monkeypatch):
         A = _banded_with_zero_stretches(rng, p, 160, starts=(20, 90),
                                         length=40)
         _assert_panels_match(A, p, monkeypatch)
-
-
-def test_one_move_slides_and_grows_the_block(monkeypatch):
-    # a band whose row 10 reaches 40 and whose row 14 reaches 64: row 10
-    # grows the block to about 40 coordinates, and four pivots later row 14
-    # needs it wider still, so a single load slides the block (t > base)
-    # and grows it. Its first live rows move to lower addresses and its
-    # last ones to higher, each block of rows in an order that lands none
-    # on a row not yet moved
-    rng = np.random.default_rng(127)
-    for p in (5, 10007):
+        # a band whose row 10 reaches 40 and whose row 14 reaches 64, so
+        # the front widens twice within a few pivots
         A = _band_with_deferred(rng, p, 100, {}, band=3)
         for i, j in ((10, 40), (14, 64)):
             A[i, j] = A[j, i] = rng.integers(1, p)
         _assert_panels_match(A, p, monkeypatch)
 
 
-def test_block_buffer_holds_only_live_coordinates(monkeypatch):
-    # a diagonal form whose coordinate 0 waits for the last one: the live
-    # block is that coordinate and the pivot, so the buffer stays small.
-    # Without a compaction before each grow, the pivots finished since the
-    # last flush would stay in the block and grow it to a panel's width
-    alpha = 400
+def _front_sizes(monkeypatch) -> list[int]:
+    # with PANEL = 1 every pivot flushes the block's n x n slots in one
+    # product of n^2 multiply-adds (FLUSH_ENTRIES is far above n^2 here), n
+    # the most slots the front has held so far
+    sizes = []
+
+    @contextlib.contextmanager
+    def record():
+        yield lambda macs: sizes.append(math.isqrt(macs))
+    monkeypatch.setattr(quadform, "_blas_threads", record)
+    monkeypatch.setattr(quadform, "PANEL", 1)
+    return sizes
+
+
+def _diagonal_waiting_for_the_last(alpha: int = 400):
+    # a diagonal form whose coordinate 0 has a zero diagonal and meets only
+    # the last coordinate, so it waits for it
     v = np.arange(alpha) % 4 + 1
     A = np.diag(v)
     A[0, 0] = 0
     A[0, -1] = A[-1, 0] = 1
-    caps, sides = [], []
-    capacity, zeros = quadform._capacity, np.zeros
+    return A, v
 
-    def record_capacity(*args):
-        # the block buffer takes every capacity chosen here
-        caps.append(capacity(*args))
-        return caps[-1]
 
-    def record_zeros(shape, *args, **kwargs):
-        # nor is a wider square array allocated on the side
-        if (isinstance(shape, tuple) and len(shape) == 2
-                and shape[0] == shape[1]):
-            sides.append(shape[0])
-        return zeros(shape, *args, **kwargs)
-    monkeypatch.setattr(quadform, "_capacity", record_capacity)
-    monkeypatch.setattr(quadform.np, "zeros", record_zeros)
+def test_block_buffer_holds_only_live_coordinates(monkeypatch):
+    # the front is the pivot and, once the last coordinate pivots,
+    # coordinate 0: never more than two slots, and the block is never
+    # allocated wider, although the positional window of this form spans
+    # every coordinate
+    A, v = _diagonal_waiting_for_the_last()
+    sizes = _front_sizes(monkeypatch)
+    sides, pad = [], np.pad
+
+    def record_pad(array, *args, **kwargs):
+        out = pad(array, *args, **kwargs)
+        if out.ndim == 2 and out.shape[0] == out.shape[1]:
+            sides.append(out.shape[0])
+        return out
+    monkeypatch.setattr(quadform.np, "pad", record_pad)
     res = diagonalize(A, 5)
     monkeypatch.undo()
     # 1 .. alpha - 1 in order, then 0, revived to -1/v[-1]
     assert res.diagonal.tolist() == [*v[1:], (-pow(int(v[-1]), -1, 5)) % 5]
-    assert 0 < max(caps) <= 8 and max(sides, default=0) <= 8
+    assert len(sizes) == len(A) and max(sizes) == 2
+    assert 0 < max(sides) <= 2
 
 
-def test_block_buffer_grows_in_place_only_as_the_live_block_needs(
-        monkeypatch):
-    # the form above, whose static envelope spans every coordinate, since
-    # coordinate 0 meets the last one. Grows after the first allocation
-    # reallocate the buffer instead of calling np.zeros, so the capacities
-    # are recorded where they are chosen
-    alpha = 400
-    v = np.arange(alpha) % 4 + 1
-    A = np.diag(v)
-    A[0, 0] = 0
-    A[0, -1] = A[-1, 0] = 1
-    caps = []
-    capacity = quadform._capacity
-
-    def record(*args):
-        caps.append(capacity(*args))
-        return caps[-1]
-    monkeypatch.setattr(quadform, "_capacity", record)
-    res = diagonalize(A, 5)
-    assert res.diagonal.tolist() == [*v[1:], (-pow(int(v[-1]), -1, 5)) % 5]
-    assert 0 < max(caps) <= 8
+def test_random_orders_match_reference(monkeypatch):
+    # the same forms in random orders: the front's slots are taken and
+    # freed in no pattern, and reused within a panel at every width
+    rng = np.random.default_rng(131)
+    for p in (3, 5, 10007):
+        for _ in range(6):
+            alpha = int(rng.integers(20, 70))
+            A = _band_with_deferred(rng, p, alpha, {3: (alpha - 5,)}, band=3)
+            if rng.integers(2):
+                A[np.diag_indices(alpha)] *= rng.random(alpha) < 0.5
+            order = rng.permutation(alpha)
+            _assert_panels_match(A[np.ix_(order, order)], p, monkeypatch,
+                                 panels=(1, 2, 3, 7))
 
 
-def test_deferred_coordinates_widen_the_block_past_the_envelope(
-        monkeypatch):
+def test_deferred_coordinates_widen_the_front(monkeypatch):
     # ten zero-diagonal coordinates just left of w meet only w, so all ten
-    # wait for it: the live block when w is eliminated spans them and w's
-    # band, about twice the widest static window hi_t - t, and with small
-    # panels the envelope's margin cannot hold it, so the buffer grows past
-    # the envelope, to a panel beyond the live block
-    grows = []
-    capacity = quadform._capacity
-
-    def record(size, cap, envelope, rest):
-        grown = capacity(size, cap, envelope, rest)
-        if grown > cap:
-            grows.append((size, envelope, grown))
-        return grown
-    monkeypatch.setattr(quadform, "_capacity", record)
+    # wait for it and enter the front together when w is eliminated, beside
+    # w's band of half-width 10. The first of them to pivot leaves the other
+    # nine rows zero, so they stay in the front to the end: it widens past
+    # anything the band alone needs
     rng = np.random.default_rng(113)
     for p in (5, 10007):
         A = _band_with_deferred(
@@ -410,12 +399,12 @@ def test_deferred_coordinates_widen_the_block_past_the_envelope(
             {z: (w,) for w in (30, 70, 100) for z in range(w - 10, w)},
             band=10)
         for panel in (1, 2, 3, 7):
-            grows.clear()
             _assert_panels_match(A, p, monkeypatch, panels=(panel,))
-            past = [(size, grown) for size, envelope, grown in grows
-                    if size > envelope]
-            assert past and all(grown == size + panel
-                                for size, grown in past)
+        sizes = _front_sizes(monkeypatch)
+        diagonalize(A, p)
+        monkeypatch.undo()
+        # the first 20 pivots come before w = 30
+        assert max(sizes[:20]) <= 2 * 10 + 1 < max(sizes)
 
 
 def test_fold_follows_a_compaction(monkeypatch):
@@ -486,111 +475,6 @@ def test_permuted_is_the_congruence():
         moved = S.permuted(order)
         assert np.array_equal(np.asarray(moved), P.T @ A @ P)
         assert moved == SymmetricEntries.from_dense(P.T @ A @ P)
-
-
-def _scrambled_band(rng, p: int, alpha: int, bw: int):
-    A = random_symmetric(rng, alpha, p)
-    r, c = np.indices(A.shape)
-    A[np.abs(r - c) > bw] = 0
-    order = rng.permutation(alpha)
-    return SymmetricEntries.from_dense(A[np.ix_(order, order)])
-
-
-def _work(S: SymmetricEntries) -> int:
-    return quadform._block_work(quadform._row_ends(S.size, S.rows, S.cols))
-
-
-def test_envelope_order_recovers_a_band():
-    # a band scrambled by a random permutation has a window of nearly the
-    # whole matrix; Cuthill-McKee brings it back to a few times the band
-    rng = np.random.default_rng(61)
-    S = _scrambled_band(rng, 5, 300, 3)
-    # isolated coordinates, which have no off-diagonal entries, go last
-    S = SymmetricEntries.coalesce(305, 5, S.rows, S.cols, S.vals)
-    order = envelope_order(S)
-    assert sorted(order.tolist()) == list(range(305))
-    assert set(order[300:].tolist()) == set(range(300, 305))
-    moved = S.permuted(order)
-    assert _work(moved) * 100 < _work(S)
-    window = np.max(moved.cols - moved.rows)
-    assert window <= 4 * 3
-
-
-def _components_pattern(rng, alpha: int, parts: int) -> np.ndarray:
-    # each part a random spanning tree plus a few chords; the coordinates
-    # left over get no off-diagonal entry
-    A = np.zeros((alpha, alpha), dtype=np.int64)
-    coords = rng.permutation(alpha)
-    cuts = np.sort(rng.choice(np.arange(1, alpha), size=parts, replace=False))
-    for part in np.split(coords, cuts)[:parts]:
-        for k in range(1, len(part)):
-            i, j = part[k], part[rng.integers(0, k)]
-            A[i, j] = A[j, i] = rng.integers(1, 7)
-        for _ in range(rng.integers(0, len(part) + 1)):
-            i, j = rng.choice(part, size=2)
-            A[i, j] = A[j, i] = rng.integers(1, 7) if i != j else 0
-    A[np.diag_indices(alpha)] = rng.integers(0, 7, size=alpha)
-    return A
-
-
-def test_cuthill_mckee_order_on_random_patterns():
-    # a permutation; each component breadth first from a coordinate of
-    # least degree in it, every later coordinate next to an earlier one;
-    # isolated coordinates last
-    rng = np.random.default_rng(83)
-    for _ in range(200):
-        alpha = int(rng.integers(2, 60))
-        A = _components_pattern(rng, alpha, int(rng.integers(1, alpha)))
-        adj = (A != 0) & ~np.eye(alpha, dtype=bool)
-        deg = adj.sum(axis=1)
-        order = quadform._cuthill_mckee(SymmetricEntries.from_dense(A))
-        assert sorted(order.tolist()) == list(range(alpha))
-        isolated = int(np.count_nonzero(deg == 0))
-        assert not deg[order[alpha - isolated:]].any()
-        done = np.zeros(alpha, dtype=bool)
-        for i in order[:alpha - isolated]:
-            if not (adj[i] & done).any():
-                # a new component: all of it is reachable from i and unseen
-                part = np.zeros(alpha, dtype=bool)
-                part[i] = True
-                while True:
-                    grown = part | adj[part].any(axis=0)
-                    if (grown == part).all():
-                        break
-                    part = grown
-                assert not (part & done).any()
-                assert deg[i] == deg[part].min()
-            done[i] = True
-
-
-def test_envelope_order_exactly_when_it_lowers_the_block_work():
-    # the Cuthill-McKee order is offered exactly when eliminating in it
-    # takes strictly less block work than the given order
-    rng = np.random.default_rng(67)
-    for p in (3, 5, 10007):
-        S = _scrambled_band(rng, p, 200, 2)
-        order = envelope_order(S)
-        assert _work(S.permuted(order)) < _work(S)
-    seen = set()
-    for _ in range(100):
-        alpha = int(rng.integers(2, 40))
-        S = SymmetricEntries.from_dense(
-            _components_pattern(rng, alpha, int(rng.integers(1, alpha))))
-        cm = quadform._cuthill_mckee(S)
-        order = envelope_order(S)
-        lower = _work(S.permuted(cm)) < _work(S)
-        assert (order is not None) == lower
-        if lower:
-            assert np.array_equal(order, cm)
-        seen.add(lower)
-    assert seen == {False, True}
-    # a band already in order: its Cuthill-McKee order is itself
-    S = SymmetricEntries.from_dense(np.eye(50, dtype=np.int64)
-                                    + np.eye(50, k=1, dtype=np.int64)
-                                    + np.eye(50, k=-1, dtype=np.int64))
-    assert envelope_order(S) is None
-    assert envelope_order(SymmetricEntries.from_dense(
-        np.zeros((0, 0), dtype=np.int64))) is None
 
 
 def test_permuted_refuses_an_order_that_is_not_a_permutation():
@@ -865,3 +749,17 @@ def test_symmetric_entries_size_must_be_an_integer(size):
     with pytest.raises(TypeError):
         SymmetricEntries(size, one, one, np.array([1]))
     assert SymmetricEntries(np.int64(2), one, one, np.array([1])).size == 2
+
+
+@pytest.mark.parametrize("field, values", [
+    ("vals", [2.5]), ("vals", [3.7]), ("rows", [0.0]), ("cols", [1.0]),
+    ("vals", np.array([2], dtype=np.uint64))])
+def test_hand_built_entries_must_hold_integers(field, values):
+    # the value 2.5 gave diagonal [5, 2] at rank 2 and 3.7 raised
+    # ZeroDivisionError; float rows or columns raised IndexError. The dense
+    # path refuses the same values
+    arrays = {"rows": np.array([0]), "cols": np.array([1]),
+              "vals": np.array([2])}
+    arrays[field] = np.asarray(values)
+    with pytest.raises(TypeError, match="theta must hold integers"):
+        diagonalize(SymmetricEntries(2, **arrays), 7, eta=np.array([1, 2]))
