@@ -500,9 +500,10 @@ def diagonalize(theta, p: int, want_l: bool = False,
         d[i] = 0
         Vp[j, :n] = wv
         Wp[j, :n] = row
-        # a free slot's last coordinate is eliminated and its wv is zero,
-        # so the indices are distinct and only front rows change
-        rhs[coord[:n]] -= wv[:, None] * (rhs[u] % p)
+        # only the rows of the front coordinates the pivot row reaches:
+        # with L carried, a row is alpha + m wide
+        hit = ri.nonzero()[0]
+        rhs[coord[hit]] -= wv[hit, None] * (rhs[u] % p)
         slot[u] = -2
         spare.append(i)
         pivots.append(u)
