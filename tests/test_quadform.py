@@ -316,8 +316,15 @@ def test_block_grows_and_slides_while_deferred(monkeypatch):
         A = _banded_with_zero_stretches(rng, p, 160, starts=(20, 90),
                                         length=40)
         _assert_panels_match(A, p, monkeypatch)
-        # a band whose row 10 reaches 40 and whose row 14 reaches 64, so
-        # the front widens twice within a few pivots
+
+
+def test_one_move_slides_and_grows_the_block(monkeypatch):
+    # a band whose row 10 reaches 40 and whose row 14 reaches 64: pivot 10
+    # brings 40 into the front and, four pivots later, pivot 14 brings 64,
+    # so the block grows twice within a panel while the slots the band's
+    # pivots free are taken again by the coordinates that follow them
+    rng = np.random.default_rng(127)
+    for p in (5, 10007):
         A = _band_with_deferred(rng, p, 100, {}, band=3)
         for i, j in ((10, 40), (14, 64)):
             A[i, j] = A[j, i] = rng.integers(1, p)
@@ -369,6 +376,30 @@ def test_block_buffer_holds_only_live_coordinates(monkeypatch):
     assert res.diagonal.tolist() == [*v[1:], (-pow(int(v[-1]), -1, 5)) % 5]
     assert len(sizes) == len(A) and max(sizes) == 2
     assert 0 < max(sides) <= 2
+
+
+def test_block_buffer_grows_in_place_only_as_the_live_block_needs(
+        monkeypatch):
+    # the form above at the default panel width, whose positional window
+    # spans every coordinate, since coordinate 0 meets the last one. The
+    # block is one buffer, padded only when the front takes a slot past its
+    # side, so each growth starts from the side the last one left
+    A, v = _diagonal_waiting_for_the_last()
+    grows, pad = [], np.pad
+
+    def record_pad(array, *args, **kwargs):
+        out = pad(array, *args, **kwargs)
+        if out.ndim == 2 and out.shape[0] == out.shape[1]:
+            grows.append((array.shape[0], out.shape[0]))
+        return out
+    monkeypatch.setattr(quadform.np, "pad", record_pad)
+    res = diagonalize(A, 5)
+    monkeypatch.undo()
+    assert res.diagonal.tolist() == [*v[1:], (-pow(int(v[-1]), -1, 5)) % 5]
+    assert grows and grows[0][0] == 0
+    assert all(new > old for old, new in grows)
+    assert all(a[1] == b[0] for a, b in zip(grows, grows[1:]))
+    assert grows[-1][1] <= 8
 
 
 def test_random_orders_match_reference(monkeypatch):
