@@ -76,7 +76,8 @@ class QuadraticForm:
     raises ValueError and one that is not an integer TypeError. eta is kept
     as a read-only int64 copy, one entry per coordinate of theta
     (ValueError otherwise); a theta or eta that does not hold integers
-    raises TypeError.
+    raises TypeError, and so does a zeta that is not an integer (anything
+    `operator.index` accepts).
     """
 
     __slots__ = ("modulus", "theta_entries", "eta", "zeta")
@@ -90,7 +91,7 @@ class QuadraticForm:
         if self.eta.shape != (self.theta_entries.size,):
             raise ValueError(f"eta must have {self.theta_entries.size} "
                              f"entries, got shape {self.eta.shape}")
-        self.zeta = zeta
+        self.zeta = operator.index(zeta)
         self.eta.setflags(write=False)
 
     @property

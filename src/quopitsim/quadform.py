@@ -23,10 +23,11 @@ row of A reaches it, or when it becomes the pivot, and loads its entries of
 A with the coordinates already there; it leaves when it is eliminated, and
 its slot is reused. The block is indexed by slot, so it keeps its full
 square, and the panel buffers are indexed by slot too. Memory is
-O(nnz(A) + f^2 + PANEL * f) for a front of at most f coordinates. The
-front depends on the order the coordinates are eliminated in;
-`evaluator.amplitude` sorts them by the end of their row of A first
-(`_row_ends`), which keeps the front of a circuit's Theta narrow.
+O(nnz(A) + f(f + w) + PANEL(f + w)) for a front of at most f coordinates
+and w right-hand-side columns (below). The front depends on the order the
+coordinates are eliminated in; `evaluator.amplitude` sorts them by the end
+of their row of A first (`_row_ends`), which keeps the front of a circuit's
+Theta narrow.
 
 Each pivot row, and the diagonal when the next pivot is sought, is reduced
 mod p through int64 rather than by a float mod; the casts are exact, since
@@ -34,10 +35,15 @@ every value is an integer below 2^53 in magnitude. Only a fold reduces the
 block itself, in place.
 
 `diagonalize` never forms L while it eliminates. It applies each column
-operation to a matrix of right-hand sides instead, so it returns
-mu = L^T eta for every column of eta at once; L itself, when asked for, is
-read off the identity carried as extra right-hand-side columns,
-L = (L^T I)^T.
+operation to a set of right-hand sides instead, so it returns mu = L^T eta
+for every column of eta at once; L itself, when asked for, is read off the
+identity carried as extra right-hand-side columns, L = (L^T I)^T. A front
+coordinate's right-hand sides are the leading w columns of its row of the
+block, ahead of its slot columns (Irons eliminates the right-hand side in
+the front with the matrix), so the panel flush and the pivot-row patch
+update them exactly as they update A; a coordinate's row is loaded when it
+enters the front and its finished right-hand sides are read off its
+reduced pivot row.
 """
 from __future__ import annotations
 
@@ -138,17 +144,20 @@ def _as_symmetric(A, p: int) -> np.ndarray:
 class SymmetricEntries:
     """A symmetric size x size matrix over F_p held as its nonzero
     upper-triangle entries (rows[k] <= cols[k], vals[k] in [1, p)), sorted
-    by column and then by row, each position once. The constructor trusts
-    its arrays; `diagonalize` checks this layout. size must be an integer
-    (anything `operator.index` accepts, TypeError otherwise). `np.asarray`
-    gives the dense int64 matrix."""
+    by column and then by row, each position once. The constructor takes
+    rows, cols and vals through `np.asarray`, so lists do too, and marks
+    the arrays it keeps read-only: an array passed in is kept as it is, so
+    the caller's own array becomes read-only. It trusts their layout;
+    `diagonalize` checks it. size must be an integer (anything
+    `operator.index` accepts, TypeError otherwise). `np.asarray` gives the
+    dense int64 matrix."""
 
     __slots__ = ("size", "rows", "cols", "vals")
 
     def __init__(self, size: int, rows, cols, vals):
         self.size = operator.index(size)
-        self.rows, self.cols, self.vals = rows, cols, vals
-        for arr in (rows, cols, vals):
+        self.rows, self.cols, self.vals = map(np.asarray, (rows, cols, vals))
+        for arr in (self.rows, self.cols, self.vals):
             arr.setflags(write=False)
 
     @classmethod
@@ -268,9 +277,11 @@ def _check_entries(S: SymmetricEntries, p: int) -> None:
 def _pick_dtype(alpha: int, p: int):
     # Lazy mod keeps trailing entries below p + (alpha + PANEL) * (p - 1)^2;
     # float32 is exact under 2^24 and float64 under 2^53; past that no float
-    # type is exact, so the form is refused. A right-hand-side entry stays
-    # under the same bound: it loses less than (p - 1)^2 per pivot and a
-    # fold restarts it below 2p. An empty form does no arithmetic at all.
+    # type is exact, so the form is refused. A right-hand-side entry is a
+    # block entry under the same bound (Dumas, Giorgi & Pernet's delayed
+    # reduction): it loses less than (p - 1)^2 per pivot, and is reduced
+    # when its coordinate pivots or a fold reduces the block, after which a
+    # fold leaves it below 2p. An empty form does no arithmetic at all.
     bound = p + (alpha + PANEL) * (p - 1) ** 2 if alpha else 0
     if bound < 2 ** 24:
         return np.float32
@@ -320,17 +331,22 @@ def diagonalize(theta, p: int, want_l: bool = False,
     carried in floats small enough to be exact, reduced mod p only when
     read (the pivot row and the diagonal scan through int64, the block in
     place before a fold); a (p, alpha) too large for float64 raises
-    ValueError. Memory is O(nnz(theta) + f^2 + PANEL * f) for a front of
-    at most f coordinates: the block grows by half again, and only when
-    the front outgrows it.
+    ValueError. Memory is O(nnz(theta) + f(f + w) + PANEL(f + w)) for a
+    front of at most f coordinates and w right-hand-side columns, beside
+    the alpha x w right-hand sides themselves: the block grows by half
+    again, and only when the front outgrows it.
 
     eta, of shape (alpha,) or (alpha, m), is a set of right-hand sides: row i
     belongs to coordinate i and follows every column operation on Theta, so
     the result's mu = L^T eta keeps eta's shape. want_l appends the identity
-    as alpha more right-hand-side columns and returns L = (L^T I)^T. Each
-    column is transformed on its own, so the diagonal and mu are the same
-    with or without want_l; `--explain` relies on that to print L from the
-    same run that gives its answer.
+    as alpha more right-hand-side columns and returns L = (L^T I)^T, so
+    w = m, or m + alpha with want_l. While its coordinate is in the front,
+    a row of right-hand sides is the leading w columns of the coordinate's
+    row of the block, ahead of its slot columns, so it takes the panel
+    updates of the block; it is read back when the coordinate pivots, or
+    at the end if it never does. Each column is transformed on its own, so
+    the diagonal and mu are the same with or without want_l; `--explain`
+    relies on that to print L from the same run that gives its answer.
 
     Each flush product of fewer than BLAS_SERIAL_MACS multiply-adds runs on
     one thread of numpy's bundled OpenBLAS, when its thread count can be
@@ -373,27 +389,33 @@ def diagonalize(theta, p: int, want_l: bool = False,
     free = np.zeros(alpha, dtype=bool)
     spare = []  # the free slots
     n = 0  # slots ever taken: the front lies in [0, n)
-    A = np.zeros((0, 0), dtype=dtype)
-    # the panel buffers, one row per pending pivot: pivot j writes
-    # Vp[j] = wv_j and Wp[j] = row_j over [0, n), zero at free slots
-    Vp = np.zeros((PANEL, 0), dtype=dtype)
-    Wp = np.zeros((PANEL, 0), dtype=dtype)
-    j = 0  # pending panel rows
-    # right-hand sides: eta's m columns, then the identity when L is wanted
+    # right-hand sides, one row per coordinate: eta's m columns, then the
+    # identity when L is wanted. A row is read into the block when its
+    # coordinate enters the front and written back when it pivots
     m = 0 if eta is None else (eta_shape[1] if len(eta_shape) == 2 else 1)
-    rhs = np.zeros((alpha, m + (alpha if want_l else 0)), dtype=dtype)
+    w = m + (alpha if want_l else 0)
+    rhs = np.zeros((alpha, w), dtype=dtype)
     if eta is not None:
         rhs[:, :m] = (_as_int64(eta, "eta") % p).reshape(alpha, m)
     if want_l:
         np.fill_diagonal(rhs[:, m:], 1)
+    # the block: slot s's row holds its coordinate's right-hand sides in
+    # columns [0, w), then its entries with every slot's coordinate in
+    # columns w + [0, n), so one update rule serves both
+    A = np.zeros((0, w), dtype=dtype)
+    # the panel buffers, one row per pending pivot: pivot j writes
+    # Vp[j] = wv_j over the slots and Wp[j] = row_j laid out as the block's
+    # rows, zero at free slots
+    Vp, Wp = np.zeros((PANEL, 0), dtype), np.zeros((PANEL, w), dtype)
+    j = 0  # pending panel rows
     pivots = []
 
     def enter(c: int):
         # coordinate c, outside the front, takes a free slot or a new one
-        # and loads its entries of theta with the coordinates in the front,
-        # itself included. No update has reached an entry with a coordinate
-        # outside the front, and a coordinate outside it meets no
-        # eliminated one
+        # and loads its right-hand sides and its entries of theta with the
+        # coordinates in the front, itself included. No update has reached
+        # an entry with a coordinate outside the front, and a coordinate
+        # outside it meets no eliminated one
         nonlocal A, Vp, Wp, n
         if spare:
             s = spare.pop()
@@ -404,15 +426,17 @@ def diagonalize(theta, p: int, want_l: bool = False,
                 A = np.pad(A, ((0, g), (0, g)))
                 Vp, Wp = (np.pad(P, ((0, 0), (0, g))) for P in (Vp, Wp))
         slot[c], coord[s], free[s], d[s] = s, c, False, diag[c]
-        A[s, :n] = 0
-        A[:n, s] = 0
+        A[s, :w] = rhs[c]
+        A[s, w:w + n] = 0
+        A[:n, w + s] = 0
         # a slot taken within a panel must not carry the pending pivots'
         # values of the coordinate that held it
         Vp[:j, s] = 0
-        Wp[:j, s] = 0
+        Wp[:j, w + s] = 0
         y = slot[nbr[ptr[c]:ptr[c + 1]]]
         inside = y >= 0
-        A[s, y[inside]] = A[y[inside], s] = val[ptr[c]:ptr[c + 1]][inside]
+        A[s, w + y[inside]] = A[y[inside], w + s] = (
+            val[ptr[c]:ptr[c + 1]][inside])
 
     def reach(k: int):
         # bring the coordinates that k's row of theta reaches into the
@@ -423,7 +447,7 @@ def diagonalize(theta, p: int, want_l: bool = False,
 
     def row_blocks():
         # the front's rows in blocks of about FLUSH_ENTRIES entries
-        step = max(1, FLUSH_ENTRIES // max(n, 1))
+        step = max(1, FLUSH_ENTRIES // max(w + n, 1))
         for r0 in range(0, n, step):
             yield r0, min(n, r0 + step)
 
@@ -432,9 +456,9 @@ def diagonalize(theta, p: int, want_l: bool = False,
         if j:
             with _blas_threads() as fit_threads:
                 for r0, r1 in row_blocks():
-                    block = A[r0:r1, :n]
-                    fit_threads(j * (r1 - r0) * n)
-                    np.subtract(block, Vp[:j, r0:r1].T @ Wp[:j, :n],
+                    block = A[r0:r1, :w + n]
+                    fit_threads(j * (r1 - r0) * (w + n))
+                    np.subtract(block, Vp[:j, r0:r1].T @ Wp[:j, :w + n],
                                 out=block)
             j = 0
 
@@ -446,8 +470,8 @@ def diagonalize(theta, p: int, want_l: bool = False,
         # nonzero row has no nonzero left of its diagonal, so that is the
         # pair (I, J) with I < J
         for r0, r1 in row_blocks():
-            np.mod(A[r0:r1, :n], p, out=A[r0:r1, :n])
-        x, y = np.nonzero(A[:n, :n])
+            np.mod(A[r0:r1, :w + n], p, out=A[r0:r1, :w + n])
+        x, y = np.nonzero(A[:n, w:w + n])
         held = ~(free[x] | free[y])
         out = (slot[S.rows] == -1) | (slot[S.cols] == -1)
         keys = np.concatenate((coord[x[held]] * alpha + coord[y[held]],
@@ -465,7 +489,8 @@ def diagonalize(theta, p: int, want_l: bool = False,
             u = min(u, lead[q])
         if u == alpha:
             # diagonal exhausted: flush, reduce the front and fold x_J into
-            # x_I (x_I' = x_I + x_J), whose row is then row I plus row J
+            # x_I (x_I' = x_I + x_J), whose row is then row I plus row J,
+            # right-hand sides included
             flush()
             found = fold_pair()
             if found is None:
@@ -474,11 +499,10 @@ def diagonalize(theta, p: int, want_l: bool = False,
             reach(u)
             reach(J)
             i, jj = slot[u], slot[J]
-            A[i, :n] += A[jj, :n]
+            A[i, :w + n] += A[jj, :w + n]
             # A[u, u] and A[J, J] are zero, since the diagonal is exhausted
-            A[i, i] = d[i] = 2 * A[i, jj]
-            A[:n, i] = A[i, :n]
-            rhs[u] = rhs[u] % p + rhs[J] % p
+            A[i, w + i] = d[i] = 2 * A[i, w + jj]
+            A[:n, w + i] = A[i, w:w + n]
         else:
             reach(u)
         i = int(slot[u])
@@ -486,24 +510,21 @@ def diagonalize(theta, p: int, want_l: bool = False,
         lam[k] = a
         ainv = inverse_mod(a, p)
         free[i] = True
-        row = A[i, :n]
+        row = A[i, :w + n]
         if j:
-            row = row - Vp[:j, i] @ Wp[:j, :n]
+            row = row - Vp[:j, i] @ Wp[:j, :w + n]
         # reduced through int64, exact for these integers below 2^53 and
         # much cheaper than a float mod; free slots, u's own included, are
-        # masked out
+        # masked out. The first w entries are u's finished right-hand sides
         ri = row.astype(np.int64) % p
-        ri[free[:n]] = 0
+        ri[w:][free[:n]] = 0
         row = ri.astype(dtype)
-        wv = (ri * ainv % p).astype(dtype)
-        d[:n] -= wv * row
+        rhs[u] = row[:w]
+        wv = (ri[w:] * ainv % p).astype(dtype)
+        d[:n] -= wv * row[w:]
         d[i] = 0
         Vp[j, :n] = wv
-        Wp[j, :n] = row
-        # only the rows of the front coordinates the pivot row reaches:
-        # with L carried, a row is alpha + m wide
-        hit = ri.nonzero()[0]
-        rhs[coord[hit]] -= wv[hit, None] * (rhs[u] % p)
+        Wp[j, :w + n] = row
         slot[u] = -2
         spare.append(i)
         pivots.append(u)
@@ -512,9 +533,14 @@ def diagonalize(theta, p: int, want_l: bool = False,
             flush()
 
     rank = int(np.count_nonzero(lam))
+    # the loop ends with every coordinate eliminated, or just after
+    # fold_pair flushed and reduced the block: the rows still held are
+    # final, and those never entered keep eta and the identity
+    rhs[slot >= 0] = A[slot[slot >= 0], :w]
+    # two statements, so that the rows in coordinate order are freed before
+    # the int64 copy is made
     rhs = rhs[np.concatenate((np.array(pivots, dtype=np.int64),
                               np.flatnonzero(slot != -2)))]
-    np.mod(rhs, p, out=rhs)
     rhs = rhs.astype(np.int64)
     L = rhs[:, m:].T if want_l else None
     mu = None if eta is None else rhs[:, :m].reshape(eta_shape)

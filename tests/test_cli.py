@@ -15,6 +15,7 @@ import quopitsim.cli
 import quopitsim.evaluator
 import quopitsim.oracle
 import quopitsim.pathsum
+import quopitsim.quadform
 from conftest import random_circuit
 from quopitsim import fields, label_circuit
 from quopitsim.circuit import normalize_to_standard_form, serialize_circuit
@@ -263,6 +264,33 @@ def test_explain_digest_random_circuit(capsys, circuit_file):
                                    "alpha = 31")
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "ddb6a400a94022bb53c3591ff4807b60dbfd9c0d3c64c8e0aa013a6649d733e2")
+
+
+def test_explain_l_through_panel_flushes(capsys, circuit_file):
+    # alpha = 218 > 2 * PANEL: L's columns ride the elimination's block
+    # through full panel flushes at the default panel width. The dump is
+    # pinned byte for byte, and its L and diagonal are the reference's
+    c = random_circuit(np.random.default_rng(6), 3, 3, 600)
+    a, b = (1, 2, 0), (2, 0, 1)
+    path = circuit_file(serialize_circuit(c))
+    code, out, _ = run(capsys, ["amp", "-c", path, "-a", "1,2,0",
+                                "-b", "2,0,1", "--explain"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == ("standard form: p = 3, n = 3, gates = 608, "
+                        "alpha = 218")
+    assert 218 > 2 * quopitsim.quadform.PANEL
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e30dd5da6cdbba04ba97612b77d18ed6b54f16bf91960ce03a411771a3a26895")
+    q = quopitsim.pathsum.phase_polynomial_direct(
+        normalize_to_standard_form(c), a, b)
+    ref = quopitsim.oracle.diagonalize_reference(q.theta, 3)
+    k = lines.index("L =") + 1
+    L = [[int(v) for v in line.strip("[]").split()]
+         for line in lines[k:k + 218]]
+    assert L == ref.L.tolist()
+    assert lines[k + 218] == "diagonal = [" + " ".join(
+        map(str, ref.diagonal.tolist())) + "]"
 
 
 def _count(monkeypatch, calls, name, modules):

@@ -496,15 +496,17 @@ def test_wide_amplitude_memory_is_bounded():
 
 
 def test_wide_elimination_holds_a_narrow_front(monkeypatch):
-    # the block only grows, by half again, as the front outgrows it: it
-    # stays within half again the row-end order's front and below the
-    # canonical order's, and the traced peak is the entries of Theta and
-    # the block, not the 3759-coordinate dense form
+    # the block only grows, by half again, as the front outgrows it: its
+    # rows, one per slot, stay within half again the row-end order's front
+    # and below the canonical order's, and the traced peak is the entries
+    # of Theta and the block, not the 3759-coordinate dense form
     sides, pad = [], np.pad
 
     def record_pad(array, *args, **kwargs):
+        # only the block gains rows, one per slot; the panel buffers keep
+        # their PANEL rows and grow in columns only
         out = pad(array, *args, **kwargs)
-        if out.ndim == 2 and out.shape[0] == out.shape[1]:
+        if out.ndim == 2 and out.shape[0] > array.shape[0]:
             sides.append(out.shape[0])
         return out
     c, a, b = _class_circuit(10007, 200)

@@ -299,3 +299,15 @@ def test_quadratic_form_checks_its_modulus():
         QuadraticForm(7.5, z, e, 0)
     q = QuadraticForm(np.int64(7), z, e, 0)
     assert q.modulus == 7 and type(q.modulus) is OddPrime
+
+
+@pytest.mark.parametrize("zeta", [2.5, "3"])
+def test_quadratic_form_refuses_a_non_integer_zeta(zeta):
+    # both were kept, and brute_force_path_sum then raised IndexError on
+    # 2.5 and numpy's UFuncTypeError on "3"
+    z, e = np.eye(1, dtype=np.int64), np.array([1])
+    with pytest.raises(TypeError):
+        QuadraticForm(7, z, e, zeta)
+    q = QuadraticForm(7, z, e, np.int64(3))
+    assert q.zeta == 3 and brute_force_path_sum(q, 1) == brute_force_path_sum(
+        QuadraticForm(7, z, e, 3), 1)

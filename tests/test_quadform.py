@@ -794,3 +794,21 @@ def test_hand_built_entries_must_hold_integers(field, values):
     arrays[field] = np.asarray(values)
     with pytest.raises(TypeError, match="theta must hold integers"):
         diagonalize(SymmetricEntries(2, **arrays), 7, eta=np.array([1, 2]))
+
+
+def test_hand_built_entries_from_lists():
+    # lists raised AttributeError in the constructor's setflags, before
+    # diagonalize could check their layout; now they are taken as arrays,
+    # so float lists reach its TypeError. An array passed in is kept as it
+    # is and becomes read-only
+    S = SymmetricEntries(2, [0, 0], [0, 1], [1, 2])
+    eta = np.array([1, 2])
+    _assert_same(diagonalize(S, 5, want_l=True, eta=[1, 2]),
+                 diagonalize_reference(np.asarray(S), 5), eta, 5)
+    with pytest.raises(TypeError, match="theta must hold integers"):
+        diagonalize(SymmetricEntries(2, [0], [1], [2.5]), 5)
+    with pytest.raises(ValueError, match="upper-triangle positions"):
+        diagonalize(SymmetricEntries(2, [1], [0], [2]), 5)
+    vals = np.array([2])
+    assert SymmetricEntries(2, [0], [1], vals).vals is vals
+    assert not vals.flags.writeable
