@@ -7,11 +7,12 @@ and `check` draws its random transitions from a seeded generator. Exit codes:
 or a modulus too large for exact elimination), 2 brute-force cap exceeded.
 
 `amp --explain` and `prob --explain` run one extraction and one elimination
-(keeping L), print their derivation, and assemble the printed answer from
-that same run: the wire labels are rendered from the extraction's register
-rows as it sweeps the circuit. `check` compares `amplitude` with two oracles
-that share none of its steps after normalizing: the dense simulation and
-the path sum over S(x) from the reference labeler.
+(keeping L), print their derivation once the run has finished, and assemble
+the printed answer from that same run: the wire labels are rendered from
+the extraction's register rows as it sweeps the circuit. `check` compares
+`amplitude` with two oracles that share none of its steps after
+normalizing: the dense simulation and the path sum over S(x) from the
+reference labeler.
 """
 from __future__ import annotations
 
@@ -100,9 +101,12 @@ def _registers(labels) -> str:
 
 
 def _explain(cn: Circuit, a, b):
-    """The dump text and the report for <b|U|a>, both from one extraction
-    and one elimination: the extraction's rows give the wire labels, the
-    dump prints its L, and its diagonal and mu give the report."""
+    """Print the dump for <b|U|a> and return its report, both from one
+    extraction and one elimination: the extraction's rows give the wire
+    labels, the dump prints its L, and its diagonal and mu give the report.
+    The label lines are held until the run has finished, since the header
+    needs alpha and a refused run prints nothing; the rest is printed line
+    by line as it is rendered."""
     p = int(cn.modulus)
     labels = [str(v) for v in a]
     lines = ["inputs: " + _registers(labels)]
@@ -133,20 +137,18 @@ def _explain(cn: Circuit, a, b):
     for i, (lam, mu) in enumerate(zip(res.diagonal, res.mu)):
         key = "X" if lam else ("Z" if mu else "Y")
         groups[key].append(variable_name(i))
-    lines.insert(0, f"standard form: p = {p}, n = {cn.n}, "
-                    f"gates = {len(cn.gates)}, alpha = {len(q.eta)}")
-    lines.append("outputs: " + _registers(labels))
-    lines.append(render_phase_polynomial(q))
-    lines.append("Theta =")
-    lines += map(_vec, q.theta_entries.dense_rows())
-    lines.append(f"eta = {_vec(q.eta)}")
-    lines.append(f"zeta = {q.zeta}")
-    lines.append("L =")
-    lines += map(_vec, res.L)
-    lines.append(f"diagonal = {_vec(res.diagonal)}")
-    lines.append("partition: " + ", ".join(
-        f"{key} = {{{', '.join(members)}}}" for key, members in groups.items()))
-    return "\n".join(lines), rep
+    print(f"standard form: p = {p}, n = {cn.n}, gates = {len(cn.gates)}, "
+          f"alpha = {len(q.eta)}", *lines, "outputs: " + _registers(labels),
+          render_phase_polynomial(q), "Theta =", sep="\n")
+    for row in q.theta_entries.dense_rows():
+        print(_vec(row))
+    print(f"eta = {_vec(q.eta)}", f"zeta = {q.zeta}", "L =", sep="\n")
+    for row in res.L:
+        print(_vec(row))
+    print(f"diagonal = {_vec(res.diagonal)}", "partition: " + ", ".join(
+        f"{key} = {{{', '.join(members)}}}" for key, members in groups.items()),
+        sep="\n")
+    return rep
 
 
 def _report_json(rep) -> str:
@@ -170,11 +172,7 @@ def cmd_transition(args) -> int:
     probability; under --explain it follows the dump it is derived in."""
     cn, a = _circuit_and_input(args)
     b = _parse_tuple(args.b, cn.n, int(cn.modulus), "-b")
-    if args.explain:
-        dump, rep = _explain(cn, a, b)
-        print(dump)
-    else:
-        rep = amplitude(cn, a, b)
+    rep = _explain(cn, a, b) if args.explain else amplitude(cn, a, b)
     if args.json:
         print(_report_json(rep))
     elif args.command == "amp":

@@ -24,10 +24,10 @@ A with the coordinates already there; it leaves when it is eliminated, and
 its slot is reused. The block is indexed by slot, so it keeps its full
 square, and the panel buffers are indexed by slot too. Memory is
 O(nnz(A) + f(f + w) + PANEL(f + w)) for a front of at most f coordinates
-and w right-hand-side columns (below). The front depends on the order the
-coordinates are eliminated in; `evaluator.amplitude` sorts them by the end
-of their row of A first (`_row_ends`), which keeps the front of a circuit's
-Theta narrow.
+and w right-hand-side columns (below), plus the alpha x w int64 result.
+The front depends on the order the coordinates are eliminated in;
+`evaluator.amplitude` sorts them by the end of their row of A first
+(`_row_ends`), which keeps the front of a circuit's Theta narrow.
 
 Each pivot row, and the diagonal when the next pivot is sought, is reduced
 mod p through int64 rather than by a float mod; the casts are exact, since
@@ -42,8 +42,8 @@ coordinate's right-hand sides are the leading w columns of its row of the
 block, ahead of its slot columns (Irons eliminates the right-hand side in
 the front with the matrix), so the panel flush and the pivot-row patch
 update them exactly as they update A; a coordinate's row is loaded when it
-enters the front and its finished right-hand sides are read off its
-reduced pivot row.
+enters the front, and its finished right-hand sides are written once, off
+its reduced pivot row, into the int64 result in output order.
 """
 from __future__ import annotations
 
@@ -149,16 +149,23 @@ class SymmetricEntries:
     the arrays it keeps read-only: an array passed in is kept as it is, so
     the caller's own array becomes read-only. It trusts their layout;
     `diagonalize` checks it. size must be an integer (anything
-    `operator.index` accepts, TypeError otherwise). `np.asarray` gives the
-    dense int64 matrix."""
+    `operator.index` accepts, TypeError otherwise) of at least 0, and
+    rows, cols and vals must be 1-D (ValueError, naming the size or the
+    shape). `np.asarray` gives the dense int64 matrix."""
 
     __slots__ = ("size", "rows", "cols", "vals")
 
     def __init__(self, size: int, rows, cols, vals):
         self.size = operator.index(size)
-        self.rows, self.cols, self.vals = map(np.asarray, (rows, cols, vals))
-        for arr in (self.rows, self.cols, self.vals):
+        if self.size < 0:
+            raise ValueError(f"size must be at least 0, got {self.size}")
+        arrays = tuple(map(np.asarray, (rows, cols, vals)))
+        for name, arr in zip(("rows", "cols", "vals"), arrays):
+            if arr.ndim != 1:
+                raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
+        for arr in arrays:
             arr.setflags(write=False)
+        self.rows, self.cols, self.vals = arrays
 
     @classmethod
     def from_dense(cls, M: np.ndarray) -> "SymmetricEntries":
@@ -332,9 +339,9 @@ def diagonalize(theta, p: int, want_l: bool = False,
     read (the pivot row and the diagonal scan through int64, the block in
     place before a fold); a (p, alpha) too large for float64 raises
     ValueError. Memory is O(nnz(theta) + f(f + w) + PANEL(f + w)) for a
-    front of at most f coordinates and w right-hand-side columns, beside
-    the alpha x w right-hand sides themselves: the block grows by half
-    again, and only when the front outgrows it.
+    front of at most f coordinates and w right-hand-side columns, plus the
+    alpha x w int64 result: the block grows by half again, and only when
+    the front outgrows it.
 
     eta, of shape (alpha,) or (alpha, m), is a set of right-hand sides: row i
     belongs to coordinate i and follows every column operation on Theta, so
@@ -343,10 +350,11 @@ def diagonalize(theta, p: int, want_l: bool = False,
     w = m, or m + alpha with want_l. While its coordinate is in the front,
     a row of right-hand sides is the leading w columns of the coordinate's
     row of the block, ahead of its slot columns, so it takes the panel
-    updates of the block; it is read back when the coordinate pivots, or
-    at the end if it never does. Each column is transformed on its own, so
-    the diagonal and mu are the same with or without want_l; `--explain`
-    relies on that to print L from the same run that gives its answer.
+    updates of the block; it is written once into the int64 result, in
+    output order, when the coordinate pivots, or at the end if it never
+    does. Each column is transformed on its own, so the diagonal and mu
+    are the same with or without want_l; `--explain` relies on that to
+    print L from the same run that gives its answer.
 
     Each flush product of fewer than BLAS_SERIAL_MACS multiply-adds runs on
     one thread of numpy's bundled OpenBLAS, when its thread count can be
@@ -372,12 +380,9 @@ def diagonalize(theta, p: int, want_l: bool = False,
     dtype = _pick_dtype(alpha, p)
     ptr, nbr, val = S._row_entries()
     val = val.astype(dtype)
-    on_diag = S.rows == S.cols
-    diag = np.zeros(alpha, dtype=dtype)
-    diag[S.rows[on_diag]] = S.vals[on_diag]
     # the coordinates whose diagonal entry in theta is nonzero, in order;
     # those before lead[q] have entered the front
-    lead, q = S.rows[on_diag].tolist(), 0
+    lead, q = S.rows[S.rows == S.cols].tolist(), 0
     lam = np.zeros(alpha, dtype=np.int64)
     # slot[k] holds coordinate k while it is in the front; -1 before it
     # enters and -2 once it is eliminated
@@ -390,15 +395,14 @@ def diagonalize(theta, p: int, want_l: bool = False,
     spare = []  # the free slots
     n = 0  # slots ever taken: the front lies in [0, n)
     # right-hand sides, one row per coordinate: eta's m columns, then the
-    # identity when L is wanted. A row is read into the block when its
-    # coordinate enters the front and written back when it pivots
+    # identity when L is wanted. A row is loaded into the block when its
+    # coordinate enters the front and written out once, in output order,
+    # when it pivots
     m = 0 if eta is None else (eta_shape[1] if len(eta_shape) == 2 else 1)
     w = m + (alpha if want_l else 0)
-    rhs = np.zeros((alpha, w), dtype=dtype)
-    if eta is not None:
-        rhs[:, :m] = (_as_int64(eta, "eta") % p).reshape(alpha, m)
-    if want_l:
-        np.fill_diagonal(rhs[:, m:], 1)
+    e = np.zeros((alpha, 0), dtype=np.int64) if eta is None else (
+        _as_int64(eta, "eta") % p).reshape(alpha, m)
+    out = np.zeros((alpha, w), dtype=np.int64)
     # the block: slot s's row holds its coordinate's right-hand sides in
     # columns [0, w), then its entries with every slot's coordinate in
     # columns w + [0, n), so one update rule serves both
@@ -408,7 +412,6 @@ def diagonalize(theta, p: int, want_l: bool = False,
     # rows, zero at free slots
     Vp, Wp = np.zeros((PANEL, 0), dtype), np.zeros((PANEL, w), dtype)
     j = 0  # pending panel rows
-    pivots = []
 
     def enter(c: int):
         # coordinate c, outside the front, takes a free slot or a new one
@@ -425,9 +428,11 @@ def diagonalize(theta, p: int, want_l: bool = False,
                 g = min(alpha, max(n, A.shape[0] * 3 // 2)) - A.shape[0]
                 A = np.pad(A, ((0, g), (0, g)))
                 Vp, Wp = (np.pad(P, ((0, 0), (0, g))) for P in (Vp, Wp))
-        slot[c], coord[s], free[s], d[s] = s, c, False, diag[c]
-        A[s, :w] = rhs[c]
-        A[s, w:w + n] = 0
+        slot[c], coord[s], free[s] = s, c, False
+        A[s, :w + n] = 0
+        A[s, :m] = e[c]
+        if want_l:
+            A[s, m + c] = 1
         A[:n, w + s] = 0
         # a slot taken within a panel must not carry the pending pivots'
         # values of the coordinate that held it
@@ -437,6 +442,7 @@ def diagonalize(theta, p: int, want_l: bool = False,
         inside = y >= 0
         A[s, w + y[inside]] = A[y[inside], w + s] = (
             val[ptr[c]:ptr[c + 1]][inside])
+        d[s] = A[s, w + s]
 
     def reach(k: int):
         # bring the coordinates that k's row of theta reaches into the
@@ -519,7 +525,7 @@ def diagonalize(theta, p: int, want_l: bool = False,
         ri = row.astype(np.int64) % p
         ri[w:][free[:n]] = 0
         row = ri.astype(dtype)
-        rhs[u] = row[:w]
+        out[k] = ri[:w]
         wv = (ri[w:] * ainv % p).astype(dtype)
         d[:n] -= wv * row[w:]
         d[i] = 0
@@ -527,21 +533,22 @@ def diagonalize(theta, p: int, want_l: bool = False,
         Wp[j, :w + n] = row
         slot[u] = -2
         spare.append(i)
-        pivots.append(u)
         j += 1
         if j == PANEL:
             flush()
 
     rank = int(np.count_nonzero(lam))
-    # the loop ends with every coordinate eliminated, or just after
-    # fold_pair flushed and reduced the block: the rows still held are
-    # final, and those never entered keep eta and the identity
-    rhs[slot >= 0] = A[slot[slot >= 0], :w]
-    # two statements, so that the rows in coordinate order are freed before
-    # the int64 copy is made
-    rhs = rhs[np.concatenate((np.array(pivots, dtype=np.int64),
-                              np.flatnonzero(slot != -2)))]
-    rhs = rhs.astype(np.int64)
-    L = rhs[:, m:].T if want_l else None
-    mu = None if eta is None else rhs[:, :m].reshape(eta_shape)
+    # each pivot's lambda is nonzero, so the rank pivots come first and the
+    # coordinates never eliminated follow in their order. The loop ends
+    # with every coordinate eliminated, or just after fold_pair flushed and
+    # reduced the block: the rows still held are final, and those never
+    # entered keep eta and the identity
+    rest = np.flatnonzero(slot != -2)
+    tail, held = out[rank:], slot[rest] >= 0
+    tail[:, :m] = e[rest]
+    if want_l:
+        tail[np.arange(rest.size), m + rest] = 1
+    tail[held] = A[slot[rest[held]], :w]
+    L = out[:, m:].T if want_l else None
+    mu = None if eta is None else out[:, :m].reshape(eta_shape)
     return DiagonalizationResult(L, lam, rank, mu)

@@ -376,9 +376,10 @@ def _reference_label_lines(lc) -> list[str]:
     return lines
 
 
-def test_explain_labels_match_reference_labeler():
+def test_explain_labels_match_reference_labeler(capsys):
     # the label lines rendered from the extractor's rows through its
-    # per-gate hook, against the reference labeler's affine forms
+    # per-gate hook, against the reference labeler's affine forms, as
+    # printed
     rng = np.random.default_rng(41)
     for _ in range(200):
         p = int(rng.choice([3, 5, 7, 101, 10007]))
@@ -387,7 +388,8 @@ def test_explain_labels_match_reference_labeler():
             random_circuit(rng, p, n, int(rng.integers(0, 81))))
         a, b = (tuple(int(v) for v in rng.integers(0, p, size=n))
                 for _ in range(2))
-        dump, _ = quopitsim.cli._explain(cn, a, b)
+        quopitsim.cli._explain(cn, a, b)
+        dump = capsys.readouterr().out
         want = _reference_label_lines(label_circuit(cn, a, b))
         assert dump.splitlines()[1:len(want) + 1] == want
 
@@ -433,11 +435,15 @@ def test_bad_modulus_exits_one(capsys, circuit_file):
 
 
 def test_modulus_beyond_exact_arithmetic_exits_one(capsys, circuit_file):
+    # --explain holds its label lines until the run has finished, so a
+    # refused run prints nothing on stdout either
     path = circuit_file("p 100000007\nn 1\nF 0\nF 0\n")
-    code, out, err = run(capsys, ["amp", "-c", path, "-a", "0", "-b", "0"])
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: p = 100000007 with alpha = 1 ")
+    for flags in ([], ["--explain"]):
+        code, out, err = run(capsys, ["amp", "-c", path, "-a", "0", "-b", "0",
+                                      *flags])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: p = 100000007 with alpha = 1 ")
 
 
 @pytest.mark.parametrize("p, code, stream, text", [

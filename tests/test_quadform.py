@@ -5,12 +5,16 @@ from __future__ import annotations
 import contextlib
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import random_circuit
 from quopitsim import quadform
+from quopitsim.circuit import normalize_to_standard_form
 from quopitsim.oracle import diagonalize_reference, gf_rank, split_step
+from quopitsim.pathsum import phase_polynomial_direct
 from quopitsim.quadform import (DiagonalizationResult, SymmetricEntries,
                                 diagonalize)
 
@@ -812,3 +816,47 @@ def test_hand_built_entries_from_lists():
     vals = np.array([2])
     assert SymmetricEntries(2, [0], [1], vals).vals is vals
     assert not vals.flags.writeable
+
+
+EMPTY = np.zeros(0, dtype=np.int64)
+
+
+@pytest.mark.parametrize("size, rows, cols, vals, error", [
+    (-3, EMPTY, EMPTY, EMPTY, "size must be at least 0, got -3"),
+    (2, [[0]], [[1]], [[2]], r"rows must be 1-D, got shape \(1, 1\)"),
+    (2, [0], 1, [2], r"cols must be 1-D, got shape \(\)"),
+    (2, [0], [1], np.array([[2]]), r"vals must be 1-D, got shape \(1, 1\)"),
+], ids=["negative-size", "rows-2d", "cols-0d", "vals-2d"])
+def test_symmetric_entries_refuse_a_negative_size_or_arrays_not_1d(
+        size, rows, cols, vals, error):
+    # a negative size was built, then failed inside numpy in diagonalize
+    # ("negative dimensions") or as "eta must have -1 entries" in
+    # QuadraticForm; arrays of another rank met numpy's "same number of
+    # dimensions" error
+    with pytest.raises(ValueError, match=error):
+        SymmetricEntries(size, rows, cols, vals)
+    if isinstance(vals, np.ndarray):
+        assert vals.flags.writeable  # refused before it was kept
+
+
+@pytest.mark.parametrize("p, bound", [(3, 1.45), (10007, 1.8)])
+def test_right_hand_sides_are_held_once(p, bound):
+    # with L, the result is the int64 alpha x alpha array L^T I, and each
+    # of its rows is written there once, in output order: the elimination's
+    # traced peak stays within bound times that array. A float copy of the
+    # right-hand sides in coordinate order, gathered and then cast, reached
+    # 1.67x (p = 3, float32) and 2.33x (p = 10007, float64)
+    c = normalize_to_standard_form(
+        random_circuit(np.random.default_rng(1), p, 20, 3000))
+    q = phase_polynomial_direct(c, (0,) * 20, (1,) * 20)
+    alpha = q.theta_entries.size
+    assert alpha > 1000
+    tracemalloc.start()
+    try:
+        res = diagonalize(q.theta_entries, p, want_l=True, eta=q.eta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.L.shape == (alpha, alpha) and res.L.dtype == np.int64
+    assert np.array_equal(res.mu, res.L.T @ q.eta % p)
+    assert peak < bound * 8 * alpha ** 2, peak / (8 * alpha ** 2)
