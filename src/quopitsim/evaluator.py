@@ -18,7 +18,7 @@ Only mu and zeta depend on the transition, and both are affine in (a, b).
 `_closed_form` therefore takes them as a constant column plus one column
 per outcome register, works out the rank, the Legendre symbol and the
 weight once, and expands the outcomes itself, a chunk of about
-`quadform.FLUSH_ENTRIES` entries at a time, so a table's working set is
+`FLUSH_ENTRIES` entries of mu at a time, so a table's working set is
 bounded by that budget rather than by alpha times the number of outcomes.
 A single amplitude has no outcome columns: `assemble_amplitude` evaluates
 it from one extraction and one diagonalization, which `amplitude` runs,
@@ -54,9 +54,11 @@ from .circuit import CapExceeded, Circuit, normalize_to_standard_form
 from .fields import ExactScalar, inverse_mod, legendre
 from .pathsum import (QuadraticForm, _extract_b_free,
                       phase_polynomial_direct)
-from .quadform import FLUSH_ENTRIES, _row_ends, diagonalize
+from .quadform import _row_ends, diagonalize
 
 TABLE_CAP = 100_000
+# entries of mu per chunk of a table's outcomes; bounds its working set
+FLUSH_ENTRIES = 1 << 20
 
 
 def phase_unit_exponent(p: int) -> int:

@@ -4,8 +4,8 @@ A symmetric matrix is held as its nonzeros: `SymmetricEntries` keeps the
 upper-triangle entries sorted by column. `diagonalize` computes L
 invertible with L^T A L = diag(lambda) by rank-1 updates deferred in panels
 of PANEL pivots, so the dense block is touched O(alpha/PANEL) times
-instead of O(alpha) times. The panel width and the flush block size are
-module constants, not parameters. The one-peel-at-a-time ground truth,
+instead of O(alpha) times, each time by one product. The panel width is
+a module constant, not a parameter. The one-peel-at-a-time ground truth,
 `oracle.diagonalize_reference`, composes `oracle.split_step` literally; the
 tests require the same L and the same diagonal, entry for entry.
 
@@ -60,8 +60,6 @@ from .fields import OddPrime, inverse_mod
 
 # pivots per panel: the trailing block receives one flush per PANEL pivots
 PANEL = 96
-# entries per row block of a panel flush; bounds its temporary
-FLUSH_ENTRIES = 1 << 20
 # flush products with fewer multiply-adds than this run on one BLAS thread:
 # waking a second thread that has gone idle costs about 10 ms, far more than
 # it saves on such a product
@@ -90,37 +88,27 @@ def _openblas():
 
 
 @contextlib.contextmanager
-def _blas_threads():
-    """Yield fit(macs), which sets the BLAS thread count for a product of
-    that many multiply-adds: one thread below BLAS_SERIAL_MACS, the caller's
-    count otherwise. The caller's count is restored on the way out.
+def _blas_threads(macs: int):
+    """Run the body, one product of macs multiply-adds, on one BLAS thread
+    when macs is below BLAS_SERIAL_MACS, and restore the caller's count on
+    the way out, also when the body raises.
 
     The count is global to the process, so it is only changed while the
     caller is the process's one Python thread: with another thread about,
-    whose products would run on the count set here, every product keeps the
+    whose products would run on the count set here, the product keeps the
     caller's count."""
     api = _openblas()
-    if api is None or threading.active_count() > 1:
-        yield lambda macs: None
+    if (macs >= BLAS_SERIAL_MACS or api is None
+            or threading.active_count() > 1):
+        yield
         return
     get, put = api
-    caller = now = get()
-
-    def fit(macs: int):
-        nonlocal now
-        # checked per product: a thread started during a flush ends the
-        # switching at the next product
-        serial = (macs < BLAS_SERIAL_MACS
-                  and threading.active_count() == 1)
-        want = 1 if serial else caller
-        if want != now:
-            put(want)
-            now = want
+    caller = get()
+    put(1)
     try:
-        yield fit
+        yield
     finally:
-        if now != caller:
-            put(caller)
+        put(caller)
 
 
 def _as_int64(A, name: str) -> np.ndarray:
@@ -145,12 +133,12 @@ class SymmetricEntries:
     """A symmetric size x size matrix over F_p held as its nonzero
     upper-triangle entries (rows[k] <= cols[k], vals[k] in [1, p)), sorted
     by column and then by row, each position once. The constructor takes
-    rows, cols and vals through `np.asarray`, so lists do too, and marks
-    the arrays it keeps read-only: an array passed in is kept as it is, so
-    the caller's own array becomes read-only. It trusts their layout;
-    `diagonalize` checks it. size must be an integer (anything
-    `operator.index` accepts, TypeError otherwise) of at least 0, and
-    rows, cols and vals must be 1-D (ValueError, naming the size or the
+    rows, cols and vals through `np.asarray`, so lists do too, an empty
+    one as int64, and marks the arrays it keeps read-only: an array passed
+    in is kept as it is, so the caller's own array becomes read-only. It
+    trusts their layout; `diagonalize` checks it. size must be an integer
+    (anything `operator.index` accepts, TypeError otherwise) of at least 0,
+    and rows, cols and vals must be 1-D (ValueError, naming the size or the
     shape). `np.asarray` gives the dense int64 matrix."""
 
     __slots__ = ("size", "rows", "cols", "vals")
@@ -159,7 +147,9 @@ class SymmetricEntries:
         self.size = operator.index(size)
         if self.size < 0:
             raise ValueError(f"size must be at least 0, got {self.size}")
-        arrays = tuple(map(np.asarray, (rows, cols, vals)))
+        # np.asarray([]) is float64, yet holds no value a cast could change
+        arrays = tuple(a if a.size else a.astype(np.int64, copy=False)
+                       for a in map(np.asarray, (rows, cols, vals)))
         for name, arr in zip(("rows", "cols", "vals"), arrays):
             if arr.ndim != 1:
                 raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
@@ -356,14 +346,15 @@ def diagonalize(theta, p: int, want_l: bool = False,
     are the same with or without want_l; `--explain` relies on that to
     print L from the same run that gives its answer.
 
-    Each flush product of fewer than BLAS_SERIAL_MACS multiply-adds runs on
-    one thread of numpy's bundled OpenBLAS, when its thread count can be
-    set; each flush restores the caller's count on its way out. That count
-    is global to the process, so it is changed only while the caller is the
-    process's one Python thread: in a process with other Python threads,
-    every product runs on the caller's count. A BLAS product that some
-    non-Python thread runs during a single-threaded flush may run on one
-    thread.
+    Each flush is one product over the whole front, j x n by j x (w + n)
+    for j pending pivots and n slots; one of fewer than BLAS_SERIAL_MACS
+    multiply-adds runs on one thread of numpy's bundled OpenBLAS, when its
+    thread count can be set, and the caller's count is restored after it.
+    That count is global to the process, so it is changed only while the
+    caller is the process's one Python thread: in a process with other
+    Python threads, every product runs on the caller's count. A BLAS
+    product that some non-Python thread runs during a single-threaded
+    flush may run on one thread.
     """
     p = int(OddPrime(p))
     if isinstance(theta, SymmetricEntries):
@@ -451,21 +442,12 @@ def diagonalize(theta, p: int, want_l: bool = False,
         for c in row[slot[row] == -1].tolist():
             enter(c)
 
-    def row_blocks():
-        # the front's rows in blocks of about FLUSH_ENTRIES entries
-        step = max(1, FLUSH_ENTRIES // max(w + n, 1))
-        for r0 in range(0, n, step):
-            yield r0, min(n, r0 + step)
-
     def flush():
         nonlocal j
         if j:
-            with _blas_threads() as fit_threads:
-                for r0, r1 in row_blocks():
-                    block = A[r0:r1, :w + n]
-                    fit_threads(j * (r1 - r0) * (w + n))
-                    np.subtract(block, Vp[:j, r0:r1].T @ Wp[:j, :w + n],
-                                out=block)
+            with _blas_threads(j * n * (w + n)):
+                np.subtract(A[:n, :w + n], Vp[:j, :n].T @ Wp[:j, :w + n],
+                            out=A[:n, :w + n])
             j = 0
 
     def fold_pair():
@@ -475,8 +457,7 @@ def diagonalize(theta, p: int, want_l: bool = False,
         # with a coordinate outside the front. A symmetric matrix's first
         # nonzero row has no nonzero left of its diagonal, so that is the
         # pair (I, J) with I < J
-        for r0, r1 in row_blocks():
-            np.mod(A[r0:r1, :w + n], p, out=A[r0:r1, :w + n])
+        np.mod(A[:n, :w + n], p, out=A[:n, :w + n])
         x, y = np.nonzero(A[:n, w:w + n])
         held = ~(free[x] | free[y])
         out = (slot[S.rows] == -1) | (slot[S.cols] == -1)

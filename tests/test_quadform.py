@@ -243,12 +243,6 @@ def test_sliding_window_matches_reference(p, A, monkeypatch):
         sparse = diagonalize(entries, p, eta=eta)
         assert np.array_equal(sparse.diagonal, ref.diagonal)
         assert np.array_equal(sparse.mu, (ref.L.T @ eta) % p)
-    # panel flushes split into many row blocks, of one row where the window
-    # is widest
-    monkeypatch.setattr(quadform, "FLUSH_ENTRIES", 100)
-    for panel in (7, 96):
-        monkeypatch.setattr(quadform, "PANEL", panel)
-        _assert_same(diagonalize(A, p, want_l=True, eta=eta), ref, eta, p)
 
 
 COMPACTION_PANELS = (1, 2, 3, 7, 96)
@@ -310,10 +304,8 @@ def test_revived_coordinate_pivots_left_of_an_earlier_pivot(p, monkeypatch):
 def test_block_grows_and_slides_while_deferred(monkeypatch):
     # a revived coordinate whose row reaches far past the front, and long
     # zero stretches whose next pivot lies outside it, so the front takes in
-    # far coordinates and its block grows in the middle of a panel; flushes
-    # in row blocks of a few rows
+    # far coordinates and its block grows in the middle of a panel
     rng = np.random.default_rng(107)
-    monkeypatch.setattr(quadform, "FLUSH_ENTRIES", 50)
     for p in (5, 10007):
         A = _band_with_deferred(rng, p, 160, {20: (30, 150), 40: (130,)})
         _assert_panels_match(A, p, monkeypatch)
@@ -336,17 +328,18 @@ def test_one_move_slides_and_grows_the_block(monkeypatch):
 
 
 def _front_sizes(monkeypatch) -> list[int]:
-    # with PANEL = 1 every pivot flushes the block's n x n slots in one
-    # product of n^2 multiply-adds (FLUSH_ENTRIES is far above n^2 here), n
-    # the most slots the front has held so far
-    sizes = []
+    # with PANEL = 1 every pivot flushes the block's n rows in one product
+    # of n (w + n) multiply-adds, n the most slots the front has held so far
+    # and w the right-hand-side columns: n^2 without eta or L
+    macs = []
 
     @contextlib.contextmanager
-    def record():
-        yield lambda macs: sizes.append(math.isqrt(macs))
+    def record(product: int):
+        macs.append(product)
+        yield
     monkeypatch.setattr(quadform, "_blas_threads", record)
     monkeypatch.setattr(quadform, "PANEL", 1)
-    return sizes
+    return macs
 
 
 def _diagonal_waiting_for_the_last(alpha: int = 400):
@@ -365,7 +358,7 @@ def test_block_buffer_holds_only_live_coordinates(monkeypatch):
     # allocated wider, although the positional window of this form spans
     # every coordinate
     A, v = _diagonal_waiting_for_the_last()
-    sizes = _front_sizes(monkeypatch)
+    macs = _front_sizes(monkeypatch)
     sides, pad = [], np.pad
 
     def record_pad(array, *args, **kwargs):
@@ -378,8 +371,16 @@ def test_block_buffer_holds_only_live_coordinates(monkeypatch):
     monkeypatch.undo()
     # 1 .. alpha - 1 in order, then 0, revived to -1/v[-1]
     assert res.diagonal.tolist() == [*v[1:], (-pow(int(v[-1]), -1, 5)) % 5]
-    assert len(sizes) == len(A) and max(sizes) == 2
+    assert len(macs) == len(A) and max(macs) == 2 * 2
     assert 0 < max(sides) <= 2
+    # with eta and L the right-hand sides are w = 1 + 400 columns of the
+    # block, and each flush is still one product of n (w + n) multiply-adds
+    macs = _front_sizes(monkeypatch)
+    res_l = diagonalize(A, 5, want_l=True, eta=v)
+    monkeypatch.undo()
+    assert np.array_equal(res_l.diagonal, res.diagonal)
+    assert len(macs) == len(A)
+    assert set(macs) == {n * (401 + n) for n in (1, 2)}
 
 
 def test_block_buffer_grows_in_place_only_as_the_live_block_needs(
@@ -438,6 +439,7 @@ def test_deferred_coordinates_widen_the_front(monkeypatch):
         sizes = _front_sizes(monkeypatch)
         diagonalize(A, p)
         monkeypatch.undo()
+        sizes = [math.isqrt(macs) for macs in sizes]
         # the first 20 pivots come before w = 30
         assert max(sizes[:20]) <= 2 * 10 + 1 < max(sizes)
 
@@ -550,8 +552,7 @@ def test_small_flushes_run_on_one_blas_thread(monkeypatch):
 
 def test_blas_threads_are_left_alone_beside_other_threads(monkeypatch):
     # the thread count is global to the process, so with a second Python
-    # thread alive no flush changes it, and a thread started during a flush
-    # sends the next product back to the caller's count
+    # thread alive no flush changes it
     calls = []
     monkeypatch.setattr(quadform, "_openblas",
                         lambda: (lambda: 3, calls.append))
@@ -569,17 +570,6 @@ def test_blas_threads_are_left_alone_beside_other_threads(monkeypatch):
         other.join()
     diagonalize(A, 5)
     assert calls
-    calls.clear()
-    release.clear()
-    other = threading.Thread(target=release.wait)
-    with quadform._blas_threads() as fit:
-        fit(0)
-        other.start()
-        fit(0)
-        fit(0)
-    release.set()
-    other.join()
-    assert calls == [1, 3]
 
 
 def test_other_threads_never_see_the_serial_count():
@@ -804,11 +794,15 @@ def test_hand_built_entries_from_lists():
     # lists raised AttributeError in the constructor's setflags, before
     # diagonalize could check their layout; now they are taken as arrays,
     # so float lists reach its TypeError. An array passed in is kept as it
-    # is and becomes read-only
-    S = SymmetricEntries(2, [0, 0], [0, 1], [1, 2])
-    eta = np.array([1, 2])
-    _assert_same(diagonalize(S, 5, want_l=True, eta=[1, 2]),
-                 diagonalize_reference(np.asarray(S), 5), eta, 5)
+    # is and becomes read-only. Empty lists, float64 to numpy, are the zero
+    # matrix: they were refused as float
+    for S, eta in ((SymmetricEntries(2, [0, 0], [0, 1], [1, 2]), [1, 2]),
+                   (SymmetricEntries(3, [], [], []), [1, 2, 3])):
+        res = diagonalize(S, 5, want_l=True, eta=eta)
+        _assert_same(res, diagonalize_reference(np.asarray(S), 5),
+                     np.array(eta), 5)
+    assert res.rank == 0 and res.mu.tolist() == eta
+    assert np.array_equal(res.L, np.eye(3, dtype=np.int64))
     with pytest.raises(TypeError, match="theta must hold integers"):
         diagonalize(SymmetricEntries(2, [0], [1], [2.5]), 5)
     with pytest.raises(ValueError, match="upper-triangle positions"):
